@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -45,7 +44,7 @@ from .embed import (
     verify_embedding,
     wagner_preston,
 )
-from .errors import DomainError, LoadError, SemitopError
+from .errors import LoadError, SemitopError
 from .obstruct import (
     NoObstruction,
     catalog,
@@ -79,22 +78,6 @@ EMBED_KINDS = ("cayley", "wp", "product", "adjoin", "embcl",
                "clifford-product", "group-restrict")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the catalog-driven commands; bundled instances pin the
-    guard two below the window."""
-
-    window: int = 6
-
-    def __post_init__(self):
-        if self.window < 4:
-            raise DomainError(f"window {self.window} is too small; the families need at least 4")
-
-    @property
-    def guard(self) -> int:
-        return self.window - 2
-
-
 def _paint(text, code):
     if os.environ.get("SEMITOP_COLOR", "").lower() in {"1", "true", "yes", "on", "always"}:
         return f"\x1b[{code}m{text}\x1b[0m"
@@ -109,12 +92,29 @@ def _emit_json(doc, out=None):
         sys.stdout.write(text)
 
 
+def _emit(args, doc, lines):
+    """The one output rule: the JSON document goes to --out when given, else
+    to stdout under --json; the human lines are printed unless --json."""
+    if args.out or args.json:
+        _emit_json(doc, args.out)
+    if not args.json:
+        for line in lines:
+            print(line)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise LoadError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _int_field(doc, key):
+    try:
+        return int(doc[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LoadError(f"input needs an integer {key!r}") from exc
 
 
 def _labels(sem, mask_or_points):
@@ -125,46 +125,44 @@ def _labels(sem, mask_or_points):
 # -- catalog -------------------------------------------------------------------
 
 def cmd_catalog(args) -> int:
-    cfg = RunConfig(window=args.window)
-    instances = catalog(cfg.window)
-    if args.json:
-        _emit_json([instance_doc(inst) for inst in instances], args.out)
-        return 0
-    print(f"bundled instances at window {cfg.window} (guard {cfg.guard}):")
+    instances = catalog(args.window)
+    lines = [f"bundled instances at window {args.window} "
+             f"(guard {instances[0].presentation.guard}):"]
     for inst in instances:
         pres = inst.presentation
         fam = inst.admissible()
-        print(f"  {_paint(inst.instance_id, CYAN):<28} carrier {pres.base.n:>3}  "
-              f"limit {pres.base.label(inst.limit):<4} "
-              f"{len(fam)} admissible neighborhood{'s' if len(fam) != 1 else ''}")
+        lines.append(f"  {_paint(inst.instance_id, CYAN):<28} carrier {pres.base.n:>3}  "
+                     f"limit {pres.base.label(inst.limit):<4} "
+                     f"{len(fam)} admissible neighborhood{'s' if len(fam) != 1 else ''}")
         for tgt in inst.targets:
-            print(f"      target: {tgt.description}")
+            lines.append(f"      target: {tgt.description}")
+    _emit(args, [instance_doc(inst) for inst in instances], lines)
     return 0
 
 
 # -- obstruct ------------------------------------------------------------------
 
-def _print_transcript(inst, cert):
+def _transcript(inst, cert) -> list[str]:
     sem = inst.presentation.base
-    print(f"instance {inst.instance_id} window {cert.window}: "
-          f"obstruction certificate with {len(cert.branches)} branch(es)")
+    lines = [f"instance {inst.instance_id} window {cert.window}: "
+             f"obstruction certificate with {len(cert.branches)} branch(es)"]
     for k, br in enumerate(cert.branches):
-        print(f"  branch {k}: force {_labels(sem, br.neighborhood)} "
-              f"into the class of {sem.label(inst.limit)}")
+        lines.append(f"  branch {k}: force {_labels(sem, br.neighborhood)} "
+                     f"into the class of {sem.label(inst.limit)}")
         shown = br.chain[:10]
         for (a, b), m, (da, db) in shown:
-            print(f"    pair ({sem.label(a)}, {sem.label(b)}) forced by multiplier "
-                  f"{sem.label(m)} -> ({sem.label(da)}, {sem.label(db)})")
+            lines.append(f"    pair ({sem.label(a)}, {sem.label(b)}) forced by multiplier "
+                         f"{sem.label(m)} -> ({sem.label(da)}, {sem.label(db)})")
         if len(br.chain) > len(shown):
-            print(f"    ... {len(br.chain) - len(shown)} more forcing steps")
+            lines.append(f"    ... {len(br.chain) - len(shown)} more forcing steps")
         tgt = inst.targets[br.target_index]
-        print(f"    fired: {tgt.description}  [witness {sem.label(br.witness)}]")
-    print(_paint("verified: chain replay reproduces every branch partition", GREEN))
+        lines.append(f"    fired: {tgt.description}  [witness {sem.label(br.witness)}]")
+    lines.append(_paint("verified: chain replay reproduces every branch partition", GREEN))
+    return lines
 
 
 def cmd_obstruct(args) -> int:
-    cfg = RunConfig(window=args.window)
-    inst = get_instance(args.instance, window=cfg.window)
+    inst = get_instance(args.instance, window=args.window)
     if args.replay:
         cert = certificate_from_doc(_load_json(args.replay))
         if isinstance(cert, NoObstruction):
@@ -178,27 +176,16 @@ def cmd_obstruct(args) -> int:
         return 1
     result = escape_certificate(inst)
     if isinstance(result, NoObstruction):
-        doc = certificate_doc(result)
-        if args.out:
-            _emit_json(doc, args.out)
-        if args.json and not args.out:
-            _emit_json(doc)
-        else:
-            sem = inst.presentation.base
-            print(f"instance {inst.instance_id} window {result.window}: no obstruction; "
-                  f"neighborhood {_labels(sem, result.surviving)} survives forcing")
+        sem = inst.presentation.base
+        _emit(args, certificate_doc(result), [
+            f"instance {inst.instance_id} window {result.window}: no obstruction; "
+            f"neighborhood {_labels(sem, result.surviving)} survives forcing"])
         return 2
     ok, why = verify_certificate(inst, result)
     if not ok:
         print(f"error: generated certificate failed replay: {why}", file=sys.stderr)
         return 1
-    doc = certificate_doc(result)
-    if args.out:
-        _emit_json(doc, args.out)
-    if args.json and not args.out:
-        _emit_json(doc)
-    else:
-        _print_transcript(inst, result)
+    _emit(args, certificate_doc(result), _transcript(inst, result))
     return 0
 
 
@@ -233,8 +220,8 @@ def cmd_check(args) -> int:
 
     if kind == "assoc":
         table = doc.get("table") if isinstance(doc, dict) else None
-        if not isinstance(table, list):
-            raise LoadError("associativity check needs a 'table'")
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise LoadError("associativity check needs a 'table' of rows")
         ok, triple = check_associativity([tuple(r) for r in table])
         report["witness"] = list(triple) if triple else None
         if triple:
@@ -329,20 +316,12 @@ def cmd_check(args) -> int:
             raise LoadError(f"unknown check kind {kind!r}")
 
     report["verdict"] = ok
-    if args.json:
-        _emit_json(report, args.out)
-    else:
-        print(f"{kind}: {_paint('PASS', GREEN) if ok else _paint('FAIL', RED)}")
-        for line in lines:
-            print("  " + line)
+    verdict = _paint("PASS", GREEN) if ok else _paint("FAIL", RED)
+    _emit(args, report, [f"{kind}: {verdict}"] + ["  " + line for line in lines])
     return 0 if ok else 2
 
 
 # -- embed ---------------------------------------------------------------------
-
-def _audit(rep):
-    return verify_embedding(rep)
-
 
 def _rep_summary(rep, audit=None):
     doc = {"representation": representation_doc(rep),
@@ -363,7 +342,7 @@ def cmd_embed(args) -> int:
 
     if kind == "cayley":
         rep = cayley_right_regular(parse_semigroup(doc))
-        audit = _audit(rep)
+        audit = verify_embedding(rep)
         out.update(_rep_summary(rep, audit))
         failed = not audit.ok
         lines.append(f"acts on window {rep.window}; verification {rep.verification}")
@@ -374,25 +353,26 @@ def cmd_embed(args) -> int:
             raise LoadError(f"element {got.witness} has {got.inverse_count} inverses; "
                             "the partial-bijection action needs an inverse semigroup")
         rep = wagner_preston(got)
-        audit = _audit(rep)
+        audit = verify_embedding(rep)
         keeps = preserves_inversion(rep, got)
         out.update(_rep_summary(rep, audit))
         out["preserves_inversion"] = keeps
         failed = not audit.ok or not keeps
         lines.append(f"inversion becomes the relational converse: {keeps}")
     elif kind == "product":
-        if not isinstance(doc, dict) or doc.get("kind") != "product":
+        if (not isinstance(doc, dict) or doc.get("kind") != "product"
+                or not isinstance(doc.get("factors"), list)):
             raise LoadError("product input needs {'kind': 'product', 'factors': [...]}")
         factors = [cayley_right_regular(parse_semigroup(d)) for d in doc["factors"]]
         rep = product_embed(factors)
-        audit = _audit(rep)
+        audit = verify_embedding(rep)
         out.update(_rep_summary(rep, audit))
         failed = not audit.ok
         lines.append(f"{len(factors)} factor blocks, evaluation window {rep.window}")
     elif kind == "adjoin":
         base = cayley_right_regular(parse_semigroup(doc))
         with_one, with_zero = adjoin_embed(base)
-        audit1, audit0 = _audit(with_one), _audit(with_zero)
+        audit1, audit0 = verify_embedding(with_one), verify_embedding(with_zero)
         out["with_identity"] = _rep_summary(with_one, audit1)
         out["with_zero"] = _rep_summary(with_zero, audit0)
         failed = not audit1.ok or not audit0.ok
@@ -400,11 +380,11 @@ def cmd_embed(args) -> int:
     elif kind == "embcl":
         if not isinstance(doc, dict) or doc.get("kind") != "symmetric_inverse":
             raise LoadError("input needs {'kind': 'symmetric_inverse', 'window': n}")
-        n = int(doc["window"])
+        n = _int_field(doc, "window")
         if not 1 <= n <= 4:
             raise LoadError("symmetric inverse monoids are materialized for windows 1..4")
         rep = embcl_rep(n)
-        audit = _audit(rep)
+        audit = verify_embedding(rep)
         out.update(_rep_summary(rep, audit))
         failed = not audit.ok
         lines.append(f"all {rep.source.n} partial bijections pushed into the "
@@ -420,13 +400,14 @@ def cmd_embed(args) -> int:
         lines.append(f"target product of {len(rep.target.factors)} factors, "
                      f"size {rep.target.n}; verification {rep.verification}")
     elif kind == "group-restrict":
-        if not isinstance(doc, dict) or doc.get("kind") != "transformation_group":
+        if (not isinstance(doc, dict) or doc.get("kind") != "transformation_group"
+                or not isinstance(doc.get("maps"), list)):
             raise LoadError("input needs {'kind': 'transformation_group', 'window': n, 'maps': [...]}")
-        win = int(doc["window"])
+        win = _int_field(doc, "window")
         maps = tuple(Transformation(win, tuple(m)) for m in doc["maps"])
         laws = shared_image_laws(maps)
         gr = group_restriction(maps)
-        audit = _audit(gr.rep)
+        audit = verify_embedding(gr.rep)
         out.update(_rep_summary(gr.rep, audit))
         out["laws"] = {name: ok for name, ok, _ in laws}
         out["common_image"] = list(gr.image)
@@ -436,13 +417,8 @@ def cmd_embed(args) -> int:
     else:
         raise LoadError(f"unknown embed kind {kind!r}")
 
-    if args.json or args.out:
-        _emit_json(out, args.out)
-    if not args.json or args.out:
-        status = _paint("FAIL", RED) if failed else _paint("OK", GREEN)
-        print(f"embed {kind}: {status}")
-        for line in lines:
-            print("  " + line)
+    status = _paint("FAIL", RED) if failed else _paint("OK", GREEN)
+    _emit(args, out, [f"embed {kind}: {status}"] + ["  " + line for line in lines])
     return 1 if failed else 0
 
 

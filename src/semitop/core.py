@@ -6,9 +6,8 @@ a*b (row = left factor).  A monoid identity is declared data, never inferred.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DomainError,
@@ -516,12 +515,6 @@ def parse_semigroup(doc) -> FinSemigroup:
     table = doc.get("table")
     if not isinstance(table, list) or not table:
         raise LoadError("missing or empty 'table'")
-    try:
-        ok, triple = check_associativity([tuple(r) for r in table])
-    except (MalformedTableError, TypeError) as exc:
-        raise LoadError(str(exc)) from exc
-    if not ok:
-        raise LoadError(f"not associative at {triple}")
     names = doc.get("elements")
     if names is not None:
         if not isinstance(names, list) or len(names) != len(table):
@@ -531,9 +524,8 @@ def parse_semigroup(doc) -> FinSemigroup:
     if identity is not None and not isinstance(identity, int):
         raise LoadError("'identity' must be an index or null")
     try:
-        s = FinSemigroup(tuple(tuple(r) for r in table), names=names,
-                         name=str(doc.get("name", "")), identity=identity)
-    except MalformedTableError as exc:
+        s = FinSemigroup(table, names=names, name=str(doc.get("name", "")), identity=identity)
+    except (MalformedTableError, TypeError) as exc:
         raise LoadError(str(exc)) from exc
     declared = doc.get("inverse")
     if declared is not None:
@@ -560,11 +552,3 @@ def semigroup_doc(s: FinSemigroup, include_inverse=False) -> dict:
             doc["inverse"] = list(inv.inv)
     return doc
 
-
-def load_semigroup(path) -> FinSemigroup:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"invalid JSON: {exc}") from exc
-    return parse_semigroup(doc)

@@ -23,6 +23,7 @@ from .core import (
 )
 from .errors import DomainError, EvaluationError, KindError, TheoremViolationError
 from .semigroups import FinProduct, symmetric_inverse_monoid
+from .topo import TopSemigroup, TopSpec, TruncatedPresentation, points_of
 from .transforms import (
     IN,
     NN,
@@ -123,9 +124,6 @@ class RepresentationMap:
         if isinstance(fa, LazyMap):
             return agree_on_window(Compose(fa, fb), want, self.window)
         return compose(fa, fb) == want
-
-    def image_of(self, i):
-        return self.images[i]
 
 
 def representation_doc(rep: RepresentationMap) -> dict:
@@ -572,8 +570,6 @@ def verify_embedding(rep: RepresentationMap, source_top=None, basic_opens=None) 
     questions a lazy image cannot decide are reported, not guessed.  A None
     source means the discrete topology without materializing it.
     """
-    from .topo import TopSemigroup, TopSpec, TruncatedPresentation
-
     if isinstance(source_top, TopSemigroup):
         source_top = source_top.top
     if source_top is None:
@@ -624,20 +620,11 @@ def verify_embedding(rep: RepresentationMap, source_top=None, basic_opens=None) 
     full = (1 << n) - 1
     atom = [full] * n
     for mask in traces:
-        m = mask
-        while m:
-            low = m & -m
-            atom[low.bit_length() - 1] &= mask
-            m ^= low
+        for x in points_of(mask):
+            atom[x] &= mask
 
     def in_closure(u):
-        m = u
-        while m:
-            low = m & -m
-            if atom[low.bit_length() - 1] & ~u:
-                return False
-            m ^= low
-        return True
+        return all(not atom[x] & ~u for x in points_of(u))
 
     bad_rel = tuple(u for u in basis if not in_closure(u))
     return EmbeddingReport(

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import FinSemigroup, adjoin_identity, adjoin_zero
-from .errors import DomainError, SizeError
+from .errors import DomainError
 from .transforms import PartialPerm, Transformation, compose
 
 
@@ -126,21 +126,6 @@ def brandt_semigroup(w) -> FinSemigroup:
     table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
     names = tuple(f"({i},{j})" for i in range(w) for j in range(w)) + ("0",)
     return FinSemigroup(table, names=names, name=f"B{w}")
-
-
-def direct_product(a: FinSemigroup, b: FinSemigroup) -> FinSemigroup:
-    """Materialized direct product with index i*b.n + j."""
-    if a.n * b.n > 4096:
-        raise SizeError(f"product of size {a.n * b.n} is too large to materialize")
-    table = tuple(
-        tuple(a.table[i][k] * b.n + b.table[j][l] for k in range(a.n) for l in range(b.n))
-        for i in range(a.n) for j in range(b.n)
-    )
-    names = tuple(f"{a.label(i)}|{b.label(j)}" for i in range(a.n) for j in range(b.n))
-    ident = None
-    if a.identity is not None and b.identity is not None:
-        ident = a.identity * b.n + b.identity
-    return FinSemigroup(table, names=names, name=f"{a.name}x{b.name}", identity=ident)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,10 @@ def mask_of(points) -> int:
 
 def points_of(mask) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -139,10 +137,6 @@ class TopSpec:
                 out &= o
         return out
 
-    def neighborhoods(self, x) -> tuple[int, ...]:
-        bit = 1 << x
-        return tuple(o for o in self.opens_sorted() if o & bit)
-
     def isolated_points(self) -> int:
         out = 0
         for x in range(self.n):
@@ -162,6 +156,8 @@ def top_spec_from_doc(doc) -> TopSpec:
         return TopSpec(int(doc["n"]), frozenset(mask_of(o) for o in doc["opens"]))
     except DomainError as e:
         raise LoadError(str(e)) from e
+    except (TypeError, ValueError) as e:
+        raise LoadError(f"malformed topology document: {e}") from e
 
 
 def up_set(s: FinSemigroup, x) -> int:
@@ -186,9 +182,15 @@ def continuity_check(s: FinSemigroup, top: TopSpec) -> tuple[bool, tuple | None]
     """
     if s.n != top.n:
         raise DomainError("semigroup and topology carriers differ in size")
-    nb = [top.min_nbhd(x) for x in range(s.n)]
-    for a in range(s.n):
-        for b in range(s.n):
+    return _first_discontinuity(s, range(s.n), [top.min_nbhd(x) for x in range(s.n)])
+
+
+def _first_discontinuity(s: FinSemigroup, points, nb) -> tuple[bool, tuple | None]:
+    """Scan the pairs (a, b) of `points` for the least (a, b, c, d) with c in
+    nb[a], d in nb[b] and c*d outside nb[a*b]; nb lists minimal
+    neighborhoods."""
+    for a in points:
+        for b in points:
             target = nb[s.mul(a, b)]
             for c in points_of(nb[a]):
                 for d in points_of(nb[b]):
@@ -342,22 +344,6 @@ def u2_check(ts: TopSemigroup, x) -> tuple[bool, tuple | None]:
     return False, None
 
 
-def u_check_space(ts: TopSemigroup) -> tuple[bool, int | None]:
-    for x in range(ts.sem.n):
-        ok, _ = u_check(ts, x)
-        if not ok:
-            return False, x
-    return True, None
-
-
-def u2_check_space(ts: TopSemigroup) -> tuple[bool, int | None]:
-    for x in range(ts.sem.n):
-        ok, _ = u2_check(ts, x)
-        if not ok:
-            return False, x
-    return True, None
-
-
 def cb_derivative(spec: TopSpec, subset: int | None = None) -> int:
     """Non-isolated points of the subspace on `subset` (default: the whole
     carrier)."""
@@ -492,15 +478,7 @@ def presentation_continuity_check(pres: TruncatedPresentation) -> tuple[bool, tu
     guard, which the truncation deliberately does not carry.
     """
     s = pres.base
-    nb = [pres.min_nbhd(x) for x in range(s.n)]
-    for a in points_of(pres.core):
-        for b in points_of(pres.core):
-            target = nb[s.mul(a, b)]
-            for c in points_of(nb[a]):
-                for d in points_of(nb[b]):
-                    if not (target >> s.mul(c, d)) & 1:
-                        return False, (a, b, c, d)
-    return True, None
+    return _first_discontinuity(s, points_of(pres.core), [pres.min_nbhd(x) for x in range(s.n)])
 
 
 @dataclass(frozen=True)

@@ -336,11 +336,6 @@ class BasicOpen:
             elif atom[0] not in (U_ATOM, W_DOM, W_IM):
                 raise DomainError(f"unknown IN atom {atom!r}")
 
-    def mentioned_points(self):
-        if self.space == NN:
-            return tuple(x for x, _ in self.atoms)
-        return tuple(a[1] for a in self.atoms)
-
 
 def _value_at(h, x):
     if isinstance(h, (Transformation, PartialPerm)):

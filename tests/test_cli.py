@@ -283,3 +283,59 @@ def test_check_out_file_is_deterministic(tmp_path):
     assert main(["check", "u", f, "--json", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("command, kind, doc", [
+    ("embed", "embcl", {"kind": "symmetric_inverse", "window": "x"}),
+    ("embed", "embcl", {"kind": "symmetric_inverse"}),
+    ("embed", "group-restrict", {"kind": "transformation_group", "window": "x",
+                                 "maps": [[0, 1]]}),
+    ("embed", "group-restrict", {"kind": "transformation_group", "maps": [[0, 1]]}),
+    ("embed", "product", {"kind": "product"}),
+    ("embed", "group-restrict", {"kind": "transformation_group", "window": 2}),
+    ("check", "assoc", {"table": [1, 2]}),
+    ("check", "u", {"semigroup": semigroup_doc(chain_semilattice(2)),
+                    "topology": {"n": "x", "opens": [[], [0, 1]]}}),
+], ids=["embcl-window-str", "embcl-window-missing", "restrict-window-str",
+        "restrict-window-missing", "product-no-factors", "restrict-no-maps",
+        "assoc-flat-table", "u-topology-n-str"])
+def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, doc):
+    assert main([command, kind, write(tmp_path, "bad.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _output_rule_case(command, tmp_path):
+    """argv and the first human line of one quick run of each subcommand."""
+    if command == "catalog":
+        return ["catalog", "-w", "4"], "bundled instances at window 4"
+    if command == "obstruct":
+        return ["obstruct", "exB", "-w", "4"], "instance exB window 4"
+    if command == "check":
+        return ["check", "chain-finite", sem_file(tmp_path, chain_semilattice(3))], "chain-finite: PASS"
+    return ["embed", "cayley", sem_file(tmp_path, cyclic_group(2))], "embed cayley: OK"
+
+
+@pytest.mark.parametrize("flags", [("--out",), ("--json",), ("--json", "--out")],
+                         ids=["out", "json", "json-out"])
+@pytest.mark.parametrize("command", ["catalog", "obstruct", "check", "embed"])
+def test_one_output_rule(tmp_path, capsys, command, flags):
+    argv, human = _output_rule_case(command, tmp_path)
+    out = tmp_path / "report.json"
+    if "--json" in flags:
+        argv.append("--json")
+    if "--out" in flags:
+        argv += ["--out", str(out)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    if "--out" in flags:
+        assert json.loads(out.read_text())
+    else:
+        assert not out.exists()
+    if "--json" not in flags:
+        assert stdout.startswith(human)
+    elif "--out" in flags:
+        assert stdout == ""
+    else:
+        assert json.loads(stdout)

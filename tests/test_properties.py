@@ -19,7 +19,8 @@ from semitop.core import (
 )
 from semitop.errors import KindError, MalformedTableError
 from semitop.semigroups import embedding_catalog
-from semitop.topo import TopSpec, u2_check, u_check, TopSemigroup, up_set, continuity_check
+from semitop.topo import (TopSpec, u2_check, u_check, TopSemigroup, up_set, continuity_check,
+                         mask_of, points_of)
 from semitop.transforms import (
     AffineParity,
     Compose,
@@ -257,3 +258,17 @@ def test_certificate_docs_replay_bit_exact(family, window):
     assert json.dumps(doc, sort_keys=True) == json.dumps(
         certificate_doc(certificate_from_doc(json.loads(json.dumps(doc)))), sort_keys=True)
     assert verify_certificate(inst, certificate_from_doc(doc)) == (True, None)
+
+
+MASKS_600 = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 600) - 1),
+    st.sets(st.integers(min_value=0, max_value=599), max_size=40).map(
+        lambda pts: sum(1 << p for p in pts)),
+)
+
+
+@given(MASKS_600)
+def test_points_of_matches_bit_by_bit_reference(mask):
+    reference = tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+    assert points_of(mask) == reference
+    assert mask_of(points_of(mask)) == mask
