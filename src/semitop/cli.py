@@ -22,6 +22,7 @@ from .core import (
     RIGHT,
     Congruence,
     NotInverse,
+    _index,
     canonical_classes,
     check_associativity,
     classify_vp_quotient,
@@ -108,13 +109,6 @@ def _load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise LoadError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _int_field(doc, key):
-    try:
-        return int(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LoadError(f"input needs an integer {key!r}") from exc
 
 
 def _labels(sem, mask_or_points):
@@ -380,7 +374,7 @@ def cmd_embed(args) -> int:
     elif kind == "embcl":
         if not isinstance(doc, dict) or doc.get("kind") != "symmetric_inverse":
             raise LoadError("input needs {'kind': 'symmetric_inverse', 'window': n}")
-        n = _int_field(doc, "window")
+        n = _index(doc.get("window"))
         if not 1 <= n <= 4:
             raise LoadError("symmetric inverse monoids are materialized for windows 1..4")
         rep = embcl_rep(n)
@@ -403,8 +397,12 @@ def cmd_embed(args) -> int:
         if (not isinstance(doc, dict) or doc.get("kind") != "transformation_group"
                 or not isinstance(doc.get("maps"), list)):
             raise LoadError("input needs {'kind': 'transformation_group', 'window': n, 'maps': [...]}")
-        win = _int_field(doc, "window")
-        maps = tuple(Transformation(win, tuple(m)) for m in doc["maps"])
+        win = _index(doc.get("window"))
+        maps = []
+        for m in doc["maps"]:
+            if not isinstance(m, list):
+                raise LoadError(f"map {m!r} is not a list of indices")
+            maps.append(Transformation(win, tuple(_index(v, win) for v in m)))
         laws = shared_image_laws(maps)
         gr = group_restriction(maps)
         audit = verify_embedding(gr.rep)

@@ -80,9 +80,6 @@ class FinSemigroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    def elements(self):
-        return range(self.n)
-
     def label(self, x):
         return self.names[x] if self.names else str(x)
 
@@ -507,6 +504,14 @@ def subsemigroup(s: FinSemigroup, subset):
 
 # -- file format -------------------------------------------------------------
 
+def _index(x, n=None):
+    """The one index rule of loaded documents: a JSON integer (not a bool),
+    not negative, and below n when n is given."""
+    if type(x) is not int or x < 0 or (n is not None and x >= n):
+        raise LoadError(f"expected an index{'' if n is None else f' below {n}'}, got {x!r}")
+    return x
+
+
 def parse_semigroup(doc) -> FinSemigroup:
     """Build a verified FinSemigroup from a JSON document; first violation
     fails the load."""
@@ -521,8 +526,8 @@ def parse_semigroup(doc) -> FinSemigroup:
             raise LoadError("'elements' must label every row")
         names = tuple(str(x) for x in names)
     identity = doc.get("identity")
-    if identity is not None and not isinstance(identity, int):
-        raise LoadError("'identity' must be an index or null")
+    if identity is not None:
+        _index(identity, len(table))
     try:
         s = FinSemigroup(table, names=names, name=str(doc.get("name", "")), identity=identity)
     except (MalformedTableError, TypeError) as exc:

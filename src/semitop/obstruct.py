@@ -17,11 +17,13 @@ from .core import (
     RIGHT,
     Congruence,
     FinSemigroup,
+    _index,
+    _UnionFind,
     canonical_classes,
     congruence_closure,
     is_semilattice,
 )
-from .errors import DomainError, LoadError, TheoremViolationError
+from .errors import DomainError, KindError, LoadError, TheoremViolationError
 from .semigroups import (
     brandt_semigroup,
     cyclic_group,
@@ -188,9 +190,14 @@ def verify_certificate(inst: CatalogInstance, cert: ObstructionCertificate) -> t
     Checks instance identity, branch coverage of the whole admissible
     family, justification of every chain step (the derived pair really is
     the recorded multiplier applied to an already-merged pair), bit-exact
-    reproduction of each branch partition both by chain replay and by a
-    fresh closure run, and that the recorded target fires with the recorded
+    reproduction of each branch partition by chain replay, right stability
+    of the replay, and that the recorded target fires with the recorded
     witness.
+
+    No closure is re-run: each replayed union right-translates a merged
+    pair, so the replay lies inside the least right congruence containing
+    the seeds, and a right-stable replay containing the seeds equals it.
+    Indices must lie below len(classes), as certificate_from_doc ensures.
     """
     pres = inst.presentation
     if cert.instance_id != inst.instance_id:
@@ -203,37 +210,24 @@ def verify_certificate(inst: CatalogInstance, cert: ObstructionCertificate) -> t
     t = pres.base.table
     n = pres.base.n
     for br in cert.branches:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
+        if len(br.classes) != n:
+            return False, "partition length differs from the carrier size"
+        uf = _UnionFind(n)
         for z in points_of(br.neighborhood):
-            if z != inst.limit:
-                union(inst.limit, z)
+            uf.union(inst.limit, z)
         for (a, b), m, (da, db) in br.chain:
-            if find(a) != find(b):
+            if uf.find(a) != uf.find(b):
                 return False, f"chain step uses unmerged pair ({a}, {b})"
             if t[a][m] != da or t[b][m] != db:
                 return False, f"chain step misapplies multiplier {m}"
-            union(da, db)
-        replayed = canonical_classes([find(x) for x in range(n)])
+            uf.union(da, db)
+        replayed = canonical_classes([uf.find(x) for x in range(n)])
         if replayed != tuple(br.classes):
             return False, "chain replay does not reproduce the recorded partition"
-        rho, _ = forcing_closure(pres, inst.limit, br.neighborhood)
-        if rho.classes != tuple(br.classes):
-            return False, "fresh closure disagrees with the recorded partition"
+        try:
+            Congruence(pres.base, RIGHT, replayed)
+        except KindError:
+            return False, "replayed partition is not right-stable"
         if not 0 <= br.target_index < len(inst.targets):
             return False, "target index out of range"
         tgt = inst.targets[br.target_index]
@@ -278,33 +272,35 @@ def certificate_doc(cert) -> dict:
     }
 
 
+def _branch_from_doc(b):
+    n = len(b["classes"])
+    return ForcingBranch(
+        neighborhood=mask_of(_index(z, n) for z in b["neighborhood"]),
+        chain=tuple(((_index(a, n), _index(bb, n)), _index(m, n), (_index(da, n), _index(db, n)))
+                    for (a, bb), m, (da, db) in b["chain"]),
+        classes=tuple(_index(c, n) for c in b["classes"]),
+        target_index=_index(b["target"]),
+        witness=_index(b["witness"], n),
+    )
+
+
 def certificate_from_doc(doc):
     try:
         if doc["kind"] == "no_obstruction":
+            n = len(doc["classes"])
             return NoObstruction(
                 instance_id=str(doc["instance"]),
-                window=int(doc["window"]),
-                surviving=mask_of(doc["surviving"]),
-                classes=tuple(int(c) for c in doc["classes"]),
+                window=_index(doc["window"]),
+                surviving=mask_of(_index(z, n) for z in doc["surviving"]),
+                classes=tuple(_index(c, n) for c in doc["classes"]),
             )
         if doc["kind"] == "obstruction_certificate":
-            branches = tuple(
-                ForcingBranch(
-                    neighborhood=mask_of(b["neighborhood"]),
-                    chain=tuple(((int(a), int(bb)), int(m), (int(da), int(db)))
-                                for (a, bb), m, (da, db) in b["chain"]),
-                    classes=tuple(int(c) for c in b["classes"]),
-                    target_index=int(b["target"]),
-                    witness=int(b["witness"]),
-                )
-                for b in doc["branches"]
-            )
             return ObstructionCertificate(
                 instance_id=str(doc["instance"]),
-                window=int(doc["window"]),
-                guard=int(doc["guard"]),
-                limit=int(doc["limit"]),
-                branches=branches,
+                window=_index(doc["window"]),
+                guard=_index(doc["guard"]),
+                limit=_index(doc["limit"]),
+                branches=tuple(_branch_from_doc(b) for b in doc["branches"]),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"malformed certificate document: {exc}") from exc
@@ -333,19 +329,21 @@ def instance_doc(inst: CatalogInstance) -> dict:
 
 def instance_from_doc(doc) -> CatalogInstance:
     try:
+        pres = presentation_from_doc(doc["presentation"])
+        n = pres.base.n
         targets = tuple(
             EscapeTarget(
                 mode=str(t["mode"]),
-                open_set=None if t["open"] is None else mask_of(t["open"]),
-                point=t["point"],
+                open_set=None if t["open"] is None else mask_of(_index(z, n) for z in t["open"]),
+                point=None if t["point"] is None else _index(t["point"], n),
                 description=str(t.get("description", "")),
             )
             for t in doc["targets"]
         )
         return CatalogInstance(
             instance_id=str(doc["instance"]),
-            presentation=presentation_from_doc(doc["presentation"]),
-            limit=int(doc["limit"]),
+            presentation=pres,
+            limit=_index(doc["limit"], n),
             targets=targets,
             notes=str(doc.get("notes", "")),
         )

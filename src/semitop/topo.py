@@ -15,6 +15,7 @@ from .core import (
     Congruence,
     FinSemigroup,
     InverseStructure,
+    _index,
     congruence_closure,
     enumerate_congruences,
     inverse_structure,
@@ -153,7 +154,8 @@ def top_spec_from_doc(doc) -> TopSpec:
     if not isinstance(doc, dict) or "n" not in doc or "opens" not in doc:
         raise LoadError("topology document needs 'n' and 'opens'")
     try:
-        return TopSpec(int(doc["n"]), frozenset(mask_of(o) for o in doc["opens"]))
+        n = _index(doc["n"])
+        return TopSpec(n, frozenset(mask_of(_index(z, n) for z in o) for o in doc["opens"]))
     except DomainError as e:
         raise LoadError(str(e)) from e
     except (TypeError, ValueError) as e:
@@ -574,26 +576,30 @@ def presentation_from_doc(doc) -> TruncatedPresentation:
         if key not in doc:
             raise LoadError(f"presentation document is missing '{key}'")
     base = parse_semigroup(doc["semigroup"])
-    limits = tuple(int(p) for p in doc["limit_points"])
-    fams = []
-    for p in limits:
-        key = str(p)
-        if key not in doc["neighborhoods"]:
-            raise LoadError(f"no neighborhood family for limit point {p}")
-        fams.append((p, tuple(mask_of(v) for v in doc["neighborhoods"][key])))
+    n = base.n
     try:
+        limits = tuple(_index(p, n) for p in doc["limit_points"])
+        fams = []
+        for p in limits:
+            key = str(p)
+            if key not in doc["neighborhoods"]:
+                raise LoadError(f"no neighborhood family for limit point {p}")
+            fams.append((p, tuple(mask_of(_index(z, n) for z in v)
+                                  for v in doc["neighborhoods"][key])))
         return TruncatedPresentation(
             base=base,
-            window=int(doc["window"]),
-            guard=int(doc["guard"]),
+            window=_index(doc["window"]),
+            guard=_index(doc["guard"]),
             limit_points=limits,
             families=tuple(fams),
-            core=mask_of(doc["core"]),
+            core=mask_of(_index(z, n) for z in doc["core"]),
             name=str(doc.get("name", "")),
             strict=bool(doc.get("strict_tails", True)),
         )
     except DomainError as e:
         raise LoadError(str(e)) from e
+    except TypeError as e:
+        raise LoadError(f"malformed presentation document: {e}") from e
 
 
 def bundled_top_semigroups():

@@ -13,7 +13,8 @@ from semitop.semigroups import (
     left_zero,
     symmetric_inverse_monoid,
 )
-from semitop.topo import bundled_top_semigroups, top_spec_doc
+from semitop.obstruct import get_instance
+from semitop.topo import bundled_top_semigroups, presentation_doc, top_spec_doc
 
 
 def write(tmp_path, name, doc):
@@ -106,6 +107,32 @@ def test_obstruct_out_and_replay(tmp_path, capsys):
 
     assert main(["obstruct", "brandt", "-w", "5", "--replay", str(cert)]) == 1
     assert main(["obstruct", "brandt", "-w", "4", "--replay", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize("path, change", [
+    (("branches", 0, "chain", 0, 0, 0), lambda v, n: v - n),
+    (("branches", 0, "witness"), lambda v, n: -1),
+    (("branches", 0, "chain", 0, 1), lambda v, n: v + n),
+    (("window",), lambda v, n: str(v)),
+    (("branches", 0, "classes", 0), lambda v, n: float(v)),
+    (("branches", 0, "classes", 0), lambda v, n: bool(v)),
+], ids=["index-alias", "witness-negative", "multiplier-high", "window-str",
+        "class-float", "class-bool"])
+def test_replay_rejects_malformed_indices(tmp_path, capsys, path, change):
+    """Each of these was accepted or crashed the verifier before the loader
+    checked every index; now it is one line and exit 1."""
+    cert = tmp_path / "cert.json"
+    assert main(["obstruct", "brandt", "-w", "4", "--json", "--out", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    *outer, key = path
+    box = doc
+    for k in outer:
+        box = box[k]
+    box[key] = change(box[key], len(doc["branches"][0]["classes"]))
+    cert.write_text(json.dumps(doc))
+    assert main(["obstruct", "brandt", "-w", "4", "--replay", str(cert)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).count("\n") == 1
 
 
 def test_check_assoc(tmp_path, capsys):
@@ -285,9 +312,17 @@ def test_check_out_file_is_deterministic(tmp_path):
     assert a.read_text().endswith("\n")
 
 
+def exB4_presentation(key, value):
+    doc = presentation_doc(get_instance("exB", 4).presentation)
+    doc[key] = value
+    return doc
+
+
 @pytest.mark.parametrize("command, kind, doc", [
     ("embed", "embcl", {"kind": "symmetric_inverse", "window": "x"}),
     ("embed", "embcl", {"kind": "symmetric_inverse"}),
+    ("embed", "embcl", {"kind": "symmetric_inverse", "window": 2.7}),
+    ("embed", "embcl", {"kind": "symmetric_inverse", "window": True}),
     ("embed", "group-restrict", {"kind": "transformation_group", "window": "x",
                                  "maps": [[0, 1]]}),
     ("embed", "group-restrict", {"kind": "transformation_group", "maps": [[0, 1]]}),
@@ -296,9 +331,25 @@ def test_check_out_file_is_deterministic(tmp_path):
     ("check", "assoc", {"table": [1, 2]}),
     ("check", "u", {"semigroup": semigroup_doc(chain_semilattice(2)),
                     "topology": {"n": "x", "opens": [[], [0, 1]]}}),
-], ids=["embcl-window-str", "embcl-window-missing", "restrict-window-str",
+    ("embed", "group-restrict", {"kind": "transformation_group", "window": 2,
+                                 "maps": [5, [1, 0]]}),
+    ("embed", "group-restrict", {"kind": "transformation_group", "window": 2,
+                                 "maps": [["x", 1], [1, 0]]}),
+    ("embed", "group-restrict", {"kind": "transformation_group", "window": 2,
+                                 "maps": [[0, 1], [1, 0.0]]}),
+    ("check", "u", {"semigroup": semigroup_doc(chain_semilattice(2)),
+                    "topology": {"n": 2.5, "opens": [[], [0, 1]]}}),
+    ("check", "cong-basis", exB4_presentation("neighborhoods", {"8": [[-1, 2, 4, 6, 8]]})),
+    ("check", "cong-basis", exB4_presentation("limit_points", ["x"])),
+    ("check", "cong-basis", exB4_presentation("window", 4.5)),
+    ("check", "inverse", {"table": [[0, 0], [0, 1]], "identity": True}),
+], ids=["embcl-window-str", "embcl-window-missing", "embcl-window-float",
+        "embcl-window-bool", "restrict-window-str",
         "restrict-window-missing", "product-no-factors", "restrict-no-maps",
-        "assoc-flat-table", "u-topology-n-str"])
+        "assoc-flat-table", "u-topology-n-str", "restrict-map-int",
+        "restrict-map-str-entry", "restrict-map-float-entry", "u-topology-n-float",
+        "presentation-point-negative", "presentation-limit-str", "presentation-window-float",
+        "semigroup-identity-bool"])
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, doc):
     assert main([command, kind, write(tmp_path, "bad.json", doc)]) == 1
     captured = capsys.readouterr()

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from semitop.core import canonical_classes
+import semitop.core
+import semitop.obstruct
+from semitop.core import _UnionFind, canonical_classes
 from semitop.errors import DomainError, LoadError
 from semitop.obstruct import (
     CatalogInstance,
@@ -152,6 +154,40 @@ def test_tampered_certificates_are_rejected():
         limit=cert.limit, branches=cert.branches)
     ok, why = verify_certificate(inst, renamed)
     assert not ok and "different instance" in why
+
+
+def test_verifier_runs_no_closure(monkeypatch):
+    honest = [(inst, certificate_doc(escape_certificate(inst))) for inst in catalog(6)]
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the verifier called the search engine")
+
+    monkeypatch.setattr(semitop.obstruct, "forcing_closure", engine)
+    monkeypatch.setattr(semitop.obstruct, "congruence_closure", engine)
+    monkeypatch.setattr(semitop.core, "congruence_closure", engine)
+    for inst, doc in honest:
+        assert verify_certificate(inst, certificate_from_doc(doc)) == (True, None), inst.instance_id
+
+
+def test_unstable_partition_is_rejected():
+    """A chain cut before its last merging step, recorded together with the
+    partition it does reproduce: only the stability check can refuse it."""
+    inst = get_instance("brandt", 5)
+    cert = escape_certificate(inst)
+    br = cert.branches[0]
+    n = inst.presentation.base.n
+
+    def replay(chain):
+        uf = _UnionFind(n)
+        for z in points_of(br.neighborhood):
+            uf.union(inst.limit, z)
+        merging = [k for k, (_, _, (da, db)) in enumerate(chain) if uf.union(da, db)]
+        return canonical_classes([uf.find(x) for x in range(n)]), merging
+
+    last = replay(br.chain)[1][-1]
+    cut = replace(br, chain=br.chain[:last], classes=replay(br.chain[:last])[0])
+    ok, why = verify_certificate(inst, replace(cert, branches=(cut,) + cert.branches[1:]))
+    assert not ok and "right-stable" in why
 
 
 def test_certificate_doc_round_trip():

@@ -1,6 +1,11 @@
 """Randomized invariants over the core engines."""
 
+import contextlib
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,6 +263,131 @@ def test_certificate_docs_replay_bit_exact(family, window):
     assert json.dumps(doc, sort_keys=True) == json.dumps(
         certificate_doc(certificate_from_doc(json.loads(json.dumps(doc)))), sort_keys=True)
     assert verify_certificate(inst, certificate_from_doc(doc)) == (True, None)
+
+
+@functools.cache
+def _honest_certificate(family):
+    from semitop.obstruct import certificate_doc, escape_certificate, get_instance
+    inst = get_instance(family, 5)
+    return inst, json.dumps(certificate_doc(escape_certificate(inst)))
+
+
+def _index_slots(doc, br):
+    """(container, key) of every carrier index in a branch, plus the limit."""
+    slots = [(br["neighborhood"], i) for i in range(len(br["neighborhood"]))]
+    slots += [(br["classes"], i) for i in range(len(br["classes"]))]
+    for step in br["chain"]:
+        slots += [(step[0], 0), (step[0], 1), (step, 1), (step[2], 0), (step[2], 1)]
+    return slots + [(br, "witness"), (doc, "limit")]
+
+
+def _chain_derives(inst, br):
+    """Slow reference for a branch whose recorded partition is the honest
+    one: every step translates a pair already identified, by the recorded
+    multiplier, and the identifications generate the recorded partition."""
+    t = inst.presentation.base.table
+    label = list(range(len(br["classes"])))
+
+    def merge(x, y):
+        new, old = label[x], label[y]
+        label[:] = [new if v == old else v for v in label]
+
+    for z in br["neighborhood"]:
+        merge(inst.limit, z)
+    for (a, b), m, (da, db) in br["chain"]:
+        if label[a] != label[b] or (t[a][m], t[b][m]) != (da, db):
+            return False
+        merge(da, db)
+    return canonical_classes(label) == tuple(br["classes"])
+
+
+def _retype(v, to):
+    """v as a JSON value of another type; a container becomes a scalar."""
+    if to == "float":
+        return float(v) if isinstance(v, int) else 0.0
+    return {"str": str, "bool": bool, "null": lambda v: None, "list": lambda v: [v]}[to](v)
+
+
+MUTATIONS = ("index", "retype", "header", "branches", "partition", "target", "steps")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["brandt", "exB"]), st.sampled_from(MUTATIONS), st.data())
+def test_tampered_certificate_docs_are_rejected(family, mutation, data):
+    """Every mutation but "steps" makes the document invalid, so it must be
+    refused by the loader or the verifier.  Dropped, duplicated or moved
+    chain steps may still derive the honest partition (many honest steps
+    merge nothing new), so there the verdict must match a slow reference."""
+    from semitop.cli import main
+    from semitop.errors import LoadError
+    from semitop.obstruct import certificate_from_doc, verify_certificate
+    inst, text = _honest_certificate(family)
+    doc = json.loads(text)
+    branches = doc["branches"]
+    br = data.draw(st.sampled_from(branches))
+    n = len(br["classes"])
+    chain = br["chain"]
+    if mutation == "index":
+        box, key = data.draw(st.sampled_from(_index_slots(doc, br)))
+        box[key] += data.draw(st.sampled_from((-n, n)))
+    elif mutation == "retype":
+        box, key = data.draw(st.sampled_from(
+            _index_slots(doc, br) + [(br, "target"), (br, "chain"), (br, "classes"),
+                                     (br, "neighborhood"), (doc, "window"), (doc, "guard"),
+                                     (doc, "branches")]))
+        box[key] = _retype(box[key], data.draw(st.sampled_from(["str", "float", "bool", "null",
+                                                                "list"])))
+    elif mutation == "header":
+        key = data.draw(st.sampled_from(["instance", "window", "guard", "limit", "kind",
+                                         "branches"]))
+        if data.draw(st.booleans()):
+            del doc[key]
+        elif key in ("window", "guard", "limit"):
+            doc[key] += data.draw(st.sampled_from((-1, 1)))
+        else:
+            doc[key] = {"instance": "luke" if family == "brandt" else "odd_chain",
+                        "kind": "no_obstruction", "branches": []}[key]
+    elif mutation == "branches":
+        i, j = data.draw(st.lists(st.integers(0, len(branches) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        how = data.draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if how == "drop":
+            del branches[i]
+        elif how == "duplicate":
+            branches.insert(j, branches[i])
+        else:
+            branches[i], branches[j] = branches[j], branches[i]
+    elif mutation == "partition" and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, n - 1))
+        br["classes"][i] = data.draw(st.sampled_from([c for c in range(n) if c != br["classes"][i]]))
+    elif mutation == "partition":  # one class more than the carrier, and an index into it
+        box, key = data.draw(st.sampled_from(_index_slots(doc, br)[:-1]))
+        br["classes"].append(n)
+        box[key] = n
+    elif mutation == "target":
+        br["target"] = len(inst.targets) + data.draw(st.integers(0, 3))
+    else:
+        i = data.draw(st.integers(0, len(chain) - 1))
+        j = data.draw(st.integers(0, len(chain) - 1))
+        how = data.draw(st.sampled_from(["drop", "duplicate", "move"]))
+        step = chain[i] if how == "duplicate" else chain.pop(i)
+        if how != "drop":
+            chain.insert(j, step)
+    try:
+        ok, why = verify_certificate(inst, certificate_from_doc(doc))
+    except LoadError:
+        ok, why = False, "load"
+    assert ok == (why is None)
+    assert ok == (mutation == "steps" and _chain_derives(inst, br))
+    if not ok and data.draw(st.integers(0, 9)) == 0:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cert.json"
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["obstruct", family, "-w", "5", "--replay", str(path)])
+        assert code == 1
+        assert (out.getvalue() + err.getvalue()).count("\n") == 1
 
 
 MASKS_600 = st.one_of(
