@@ -216,7 +216,7 @@ def cmd_check(args) -> int:
         table = doc.get("table") if isinstance(doc, dict) else None
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise LoadError("associativity check needs a 'table' of rows")
-        ok, triple = check_associativity([tuple(r) for r in table])
+        ok, triple = check_associativity(table)
         report["witness"] = list(triple) if triple else None
         if triple:
             lines.append(f"fails at ({triple[0]}, {triple[1]}, {triple[2]})")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import _index
 from .errors import DomainError, EvaluationError, LoadError, WindowEscapeError
 
 
@@ -287,13 +288,13 @@ def lazy_from_doc(doc) -> LazyMap:
         if kind == "identity":
             return Identity()
         if kind == "const":
-            return Const(int(doc["value"]))
+            return Const(_index(doc["value"]))
         if kind == "table":
-            return FiniteTable(tuple((int(k), None if v is None else int(v)) for k, v in doc["entries"]),
+            return FiniteTable(tuple((_index(k), None if v is None else _index(v)) for k, v in doc["entries"]),
                                lazy_from_doc(doc["fallback"]))
         if kind == "affine":
-            return AffineParity(int(doc["modulus"]),
-                                tuple((int(r), lazy_from_doc(inner), int(r_out))
+            return AffineParity(_index(doc["modulus"]),
+                                tuple((_index(r), lazy_from_doc(inner), _index(r_out))
                                       for r, inner, r_out in doc["rules"]))
         if kind == "pairblock":
             return PairBlock(tuple(lazy_from_doc(i) for i in doc["inners"]))

@@ -343,13 +343,14 @@ def exB4_presentation(key, value):
     ("check", "cong-basis", exB4_presentation("limit_points", ["x"])),
     ("check", "cong-basis", exB4_presentation("window", 4.5)),
     ("check", "inverse", {"table": [[0, 0], [0, 1]], "identity": True}),
+    ("check", "assoc", {"table": [[True, False], [False, True]]}),
 ], ids=["embcl-window-str", "embcl-window-missing", "embcl-window-float",
         "embcl-window-bool", "restrict-window-str",
         "restrict-window-missing", "product-no-factors", "restrict-no-maps",
         "assoc-flat-table", "u-topology-n-str", "restrict-map-int",
         "restrict-map-str-entry", "restrict-map-float-entry", "u-topology-n-float",
         "presentation-point-negative", "presentation-limit-str", "presentation-window-float",
-        "semigroup-identity-bool"])
+        "semigroup-identity-bool", "assoc-bool-entries"])
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, doc):
     assert main([command, kind, write(tmp_path, "bad.json", doc)]) == 1
     captured = capsys.readouterr()

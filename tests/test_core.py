@@ -83,6 +83,13 @@ def test_associativity_rejects_ragged_table():
         check_associativity([(0, 2), (0, 0)])
 
 
+def test_associativity_rejects_bool_entries():
+    with pytest.raises(MalformedTableError):
+        check_associativity([[True, False], [False, True]])
+    with pytest.raises(LoadError):
+        parse_semigroup({"table": [[True, False], [False, True]]})
+
+
 def test_semigroup_constructor_rejects_nonassociative():
     with pytest.raises(MalformedTableError):
         FinSemigroup(((0, 1), (0, 0)))

@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -17,13 +18,23 @@ from semitop.core import (
     Congruence,
     FinSemigroup,
     canonical_classes,
+    check_associativity,
     congruence_closure,
     congruence_join,
     congruence_meet,
     enumerate_congruences,
+    _greedy_generators,
 )
 from semitop.errors import KindError, MalformedTableError
-from semitop.semigroups import embedding_catalog
+from semitop.semigroups import (
+    brandt_semigroup,
+    chain_semilattice,
+    embedding_catalog,
+    full_transformation_monoid,
+    signed_antichain_with_zero,
+    symmetric_group,
+    symmetric_inverse_monoid,
+)
 from semitop.topo import (TopSpec, u2_check, u_check, TopSemigroup, up_set, continuity_check,
                          mask_of, points_of)
 from semitop.transforms import (
@@ -402,3 +413,65 @@ def test_points_of_matches_bit_by_bit_reference(mask):
     reference = tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
     assert points_of(mask) == reference
     assert mask_of(points_of(mask)) == mask
+
+
+def least_violating_triple(table):
+    """The slow definition: scan every triple (a, b, c) in lexicographic order."""
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+def greedy_generators_by_fixpoint(table):
+    """Scan 0..n-1; each element outside the magma closure of the earlier
+    generators becomes one.  The closure is recomputed as a fixpoint."""
+    gens, closed = [], set()
+    for x in range(len(table)):
+        if x in closed:
+            continue
+        gens.append(x)
+        closed.add(x)
+        while more := {table[a][b] for a in closed for b in closed} - closed:
+            closed |= more
+    return gens
+
+
+def test_associativity_matches_triple_scan_on_every_magma_up_to_three():
+    checked = 0
+    for n in (1, 2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            table = [entries[i * n:(i + 1) * n] for i in range(n)]
+            triple = least_violating_triple(table)
+            assert check_associativity(table) == (triple is None, triple)
+            assert _greedy_generators(table) == greedy_generators_by_fixpoint(table)
+            checked += 1
+    assert checked == 1 + 16 + 19683
+
+
+ASSOCIATIVE_BASES = [
+    brandt_semigroup(4),
+    full_transformation_monoid(3)[0],
+    symmetric_inverse_monoid(2)[0],
+    symmetric_inverse_monoid(3)[0],
+    symmetric_group(3),
+    chain_semilattice(5),
+    signed_antichain_with_zero(4),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ASSOCIATIVE_BASES), st.data())
+def test_associativity_matches_triple_scan_on_relabelled_and_mutated_tables(base, data):
+    n = base.n
+    perm = data.draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        table[perm[a]][perm[b]] = perm[base.table[a][b]]
+    if data.draw(st.booleans()):
+        a, b, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table[a][b] = v
+    triple = least_violating_triple(table)
+    assert check_associativity(table) == (triple is None, triple)
+    assert _greedy_generators(table) == greedy_generators_by_fixpoint(table)

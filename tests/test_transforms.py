@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from semitop.errors import DomainError, EvaluationError, WindowEscapeError
+from semitop.errors import DomainError, EvaluationError, LoadError, WindowEscapeError
 from semitop.transforms import (
     IN,
     NN,
@@ -179,6 +179,26 @@ def test_lazy_doc_round_trip_all_kinds():
         doc = json.loads(json.dumps(lazy_to_doc(m)))
         again = lazy_from_doc(doc)
         assert all(again.eval(x) == m.eval(x) for x in range(40))
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "const", "value": 2.9},
+    {"kind": "const", "value": True},
+    {"kind": "const", "value": "2"},
+    {"kind": "const", "value": -1},
+    {"kind": "table", "entries": [[0.0, 1]], "fallback": {"kind": "identity"}},
+    {"kind": "table", "entries": [[0, False]], "fallback": {"kind": "identity"}},
+    {"kind": "table", "entries": [["0", 1]], "fallback": {"kind": "identity"}},
+    {"kind": "affine", "modulus": 2.0, "rules": [[0, {"kind": "identity"}, 1]]},
+    {"kind": "affine", "modulus": True, "rules": []},
+    {"kind": "affine", "modulus": 2, "rules": [[True, {"kind": "identity"}, 1]]},
+    {"kind": "affine", "modulus": 2, "rules": [[0, {"kind": "identity"}, "1"]]},
+], ids=["const-float", "const-bool", "const-str", "const-negative", "table-key-float",
+        "table-value-bool", "table-key-str", "affine-modulus-float", "affine-modulus-bool",
+        "affine-r-bool", "affine-r-out-str"])
+def test_lazy_doc_rejects_non_index_integers(doc):
+    with pytest.raises(LoadError):
+        lazy_from_doc(doc)
 
 
 def test_basic_open_membership_nn():
