@@ -249,9 +249,9 @@ def cmd_check(args) -> int:
             got = inverse_structure(sem)
             if isinstance(got, NotInverse):
                 raise LoadError("the Vagner-Preston test needs an inverse monoid")
-            if cong is None:
-                raise LoadError("the Vagner-Preston test needs a 'congruence' entry")
-            rho = Congruence(sem, RIGHT, canonical_classes(cong))
+            if not isinstance(cong, list):
+                raise LoadError("the Vagner-Preston test needs a 'congruence' list of class ids")
+            rho = Congruence(sem, RIGHT, canonical_classes([_index(c, sem.n) for c in cong]))
             ok = is_vagner_preston(got, rho)
             report["classes"] = list(rho.classes)
             if ok and is_commutative(sem) and sem.identity is not None:
@@ -464,10 +464,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SemitopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SemitopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -297,10 +297,6 @@ class Congruence:
     def same(self, a, b):
         return self.classes[a] == self.classes[b]
 
-    def class_of(self, x) -> tuple[int, ...]:
-        cx = self.classes[x]
-        return tuple(y for y in range(self.base.n) if self.classes[y] == cx)
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         out = [[] for _ in range(self.num_classes)]
         for x, cx in enumerate(self.classes):
@@ -344,15 +340,15 @@ class _UnionFind:
         return True
 
 
-def congruence_closure(s: FinSemigroup, seeds, kind=RIGHT, record_chain=False):
-    """Smallest congruence of the given kind containing the seed pairs.
+def _close(s: FinSemigroup, seeds, kind):
+    """Worklist closure engine: (class vector, chain) of the smallest
+    congruence of the given kind containing the seed pairs, not re-checked.
 
-    Worklist closure: merging (a, b) enqueues (a*m, b*m) for every multiplier
-    m in ascending order (and (m*a, m*b) for the two-sided kind).  With
-    ``record_chain`` the result is (Congruence, chain) where each chain step
-    is ((a, b), multiplier, (a*m, b*m)) recorded at the moment the derived
-    pair still joins two distinct classes; replaying the steps in order
-    rebuilds the same partition.
+    Merging (a, b) enqueues (a*m, b*m) for every multiplier m in ascending
+    order (and (m*a, m*b) for the two-sided kind).  Each chain step is
+    ((a, b), multiplier, (a*m, b*m)), recorded at the moment the derived pair
+    still joins two distinct classes; replaying the steps in order rebuilds
+    the same partition.
     """
     if kind not in (RIGHT, TWO_SIDED):
         raise KindError(f"unknown congruence kind {kind!r}")
@@ -373,12 +369,13 @@ def congruence_closure(s: FinSemigroup, seeds, kind=RIGHT, record_chain=False):
             for da, db in ((t[a][m], t[b][m]),) if kind == RIGHT else ((t[a][m], t[b][m]), (t[m][a], t[m][b])):
                 if da != db and uf.find(da) != uf.find(db):
                     work.append((da, db))
-                    if record_chain:
-                        chain.append(((a, b), m, (da, db)))
-    cong = Congruence(s, kind, canonical_classes([uf.find(x) for x in range(n)]))
-    if record_chain:
-        return cong, tuple(chain)
-    return cong
+                    chain.append(((a, b), m, (da, db)))
+    return canonical_classes([uf.find(x) for x in range(n)]), tuple(chain)
+
+
+def congruence_closure(s: FinSemigroup, seeds, kind=RIGHT) -> Congruence:
+    """Smallest congruence of the given kind containing the seed pairs."""
+    return Congruence(s, kind, _close(s, seeds, kind)[0])
 
 
 def congruence_meet(r1: Congruence, r2: Congruence) -> Congruence:
@@ -422,20 +419,20 @@ def enumerate_congruences(s: FinSemigroup, kind=RIGHT, bound=10, limit=20000) ->
         raise SizeError(f"carrier size {s.n} exceeds enumeration bound {bound}")
     start = diagonal(s, kind)
     found = {start.classes: start}
-    frontier = [start]
+    frontier = [start.classes]
     while frontier:
         fresh = []
-        for rho in frontier:
-            merges = [(blk[0], x) for blk in rho.blocks() for x in blk[1:]]
+        for vec in frontier:
+            merges = [(vec.index(c), x) for x, c in enumerate(vec) if vec.index(c) < x]
             for a in range(s.n):
                 for b in range(a + 1, s.n):
-                    if rho.classes[a] == rho.classes[b]:
+                    if vec[a] == vec[b]:
                         continue
-                    tau = congruence_closure(s, merges + [(a, b)], kind)
-                    if tau.classes not in found:
+                    tau = _close(s, merges + [(a, b)], kind)[0]
+                    if tau not in found:
                         if len(found) >= limit:
                             raise SizeError(f"congruence lattice exceeded {limit} members")
-                        found[tau.classes] = tau
+                        found[tau] = Congruence(s, kind, tau)
                         fresh.append(tau)
         frontier = fresh
     return [found[k] for k in sorted(found)]
@@ -577,16 +574,20 @@ def parse_semigroup(doc) -> FinSemigroup:
     identity = doc.get("identity")
     if identity is not None:
         _index(identity, len(table))
+    declared = doc.get("inverse")
+    if declared is not None:
+        if not isinstance(declared, list):
+            raise LoadError("'inverse' must be a list of indices")
+        declared = tuple(_index(v, len(table)) for v in declared)
     try:
         s = FinSemigroup(table, names=names, name=str(doc.get("name", "")), identity=identity)
     except (MalformedTableError, TypeError) as exc:
         raise LoadError(str(exc)) from exc
-    declared = doc.get("inverse")
     if declared is not None:
         got = inverse_structure(s)
         if isinstance(got, NotInverse):
             raise LoadError(f"declared inverse but element {got.witness} has {got.inverse_count} inverses")
-        if tuple(declared) != got.inv:
+        if declared != got.inv:
             raise LoadError("declared inverse map disagrees with the computed one")
     return s
 

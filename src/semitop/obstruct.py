@@ -19,8 +19,8 @@ from .core import (
     FinSemigroup,
     _index,
     _UnionFind,
+    _close,
     canonical_classes,
-    congruence_closure,
     is_semilattice,
 )
 from .errors import DomainError, KindError, LoadError, TheoremViolationError
@@ -95,26 +95,23 @@ class CatalogInstance:
 
 def forcing_closure(pres: TruncatedPresentation, p: int, v_mask: int):
     """Smallest right congruence putting the admissible neighborhood V inside
-    the class of p; returns (congruence, forcing chain)."""
+    the class of p; returns (class vector, forcing chain).  The partition is
+    left unchecked: verify_certificate checks the stability of its replay."""
     if v_mask not in pres.family(p):
         raise DomainError("neighborhood is not admissible for this limit point")
     seeds = [(p, z) for z in points_of(v_mask) if z != p]
-    return congruence_closure(pres.base, seeds, RIGHT, record_chain=True)
+    return _close(pres.base, seeds, RIGHT)
 
 
-def target_fired(target: EscapeTarget, rho: Congruence, limit: int) -> tuple[bool, int | None]:
+def target_fired(target: EscapeTarget, classes, limit: int) -> tuple[bool, int | None]:
     """Whether the forced partition violates the target; witness is the least
     offending element."""
     if target.mode == CLASS_ESCAPES:
-        limit_cls = rho.classes[limit]
-        for x in range(rho.base.n):
-            if rho.classes[x] == limit_cls and not (target.open_set >> x) & 1:
-                return True, x
-        return False, None
-    cls = rho.class_of(target.point)
-    if len(cls) > 1:
-        return True, next(x for x in cls if x != target.point)
-    return False, None
+        hits = (x for x, c in enumerate(classes) if c == classes[limit] and not (target.open_set >> x) & 1)
+    else:
+        hits = (x for x, c in enumerate(classes) if c == classes[target.point] and x != target.point)
+    witness = next(hits, None)
+    return witness is not None, witness
 
 
 @dataclass(frozen=True)
@@ -143,9 +140,9 @@ class NoObstruction:
     classes: tuple[int, ...]
 
 
-def _fire_on_branch(inst: CatalogInstance, rho: Congruence) -> tuple[int, int] | None:
+def _fire_on_branch(inst: CatalogInstance, classes) -> tuple[int, int] | None:
     for idx, tgt in enumerate(inst.targets):
-        fired, witness = target_fired(tgt, rho, inst.limit)
+        fired, witness = target_fired(tgt, classes, inst.limit)
         if fired:
             return idx, witness
     return None
@@ -158,22 +155,24 @@ def escape_certificate(inst: CatalogInstance):
     Success needs every branch to fire some target: larger neighborhoods
     force no less than smaller ones, so a single surviving branch means a
     congruence with the limit class inside that neighborhood exists and no
-    obstruction can be claimed; it is returned as NoObstruction.
+    obstruction can be claimed; it is returned as NoObstruction, whose
+    partition no verifier replays, so it is checked here.  Obstruction
+    branches are checked by verify_certificate alone.
     """
     branches = []
     for v in inst.admissible():
-        rho, chain = forcing_closure(inst.presentation, inst.limit, v)
-        hit = _fire_on_branch(inst, rho)
+        classes, chain = forcing_closure(inst.presentation, inst.limit, v)
+        hit = _fire_on_branch(inst, classes)
         if hit is None:
             return NoObstruction(
                 instance_id=inst.instance_id,
                 window=inst.presentation.window,
                 surviving=v,
-                classes=rho.classes,
+                classes=Congruence(inst.presentation.base, RIGHT, classes).classes,
             )
         idx, witness = hit
         branches.append(ForcingBranch(
-            neighborhood=v, chain=chain, classes=rho.classes,
+            neighborhood=v, chain=chain, classes=classes,
             target_index=idx, witness=witness))
     return ObstructionCertificate(
         instance_id=inst.instance_id,

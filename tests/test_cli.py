@@ -5,7 +5,7 @@ import json
 import pytest
 
 from semitop.cli import main
-from semitop.core import semigroup_doc
+from semitop.core import Congruence, semigroup_doc
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
@@ -344,18 +344,52 @@ def exB4_presentation(key, value):
     ("check", "cong-basis", exB4_presentation("window", 4.5)),
     ("check", "inverse", {"table": [[0, 0], [0, 1]], "identity": True}),
     ("check", "assoc", {"table": [[True, False], [False, True]]}),
+    ("check", "inverse", {"table": [[0]], "inverse": 5}),
+    ("check", "inverse", {"table": [[0]], "inverse": [False]}),
+    ("check", "vp", {"semigroup": semigroup_doc(cyclic_group(2)), "congruence": 5}),
+    ("check", "vp", {"semigroup": semigroup_doc(cyclic_group(2)), "congruence": "ab"}),
+    ("check", "vp", {"semigroup": semigroup_doc(cyclic_group(2)), "congruence": [0.5, 0.5]}),
 ], ids=["embcl-window-str", "embcl-window-missing", "embcl-window-float",
         "embcl-window-bool", "restrict-window-str",
         "restrict-window-missing", "product-no-factors", "restrict-no-maps",
         "assoc-flat-table", "u-topology-n-str", "restrict-map-int",
         "restrict-map-str-entry", "restrict-map-float-entry", "u-topology-n-float",
         "presentation-point-negative", "presentation-limit-str", "presentation-window-float",
-        "semigroup-identity-bool", "assoc-bool-entries"])
+        "semigroup-identity-bool", "assoc-bool-entries", "semigroup-inverse-int",
+        "semigroup-inverse-bool", "vp-congruence-int", "vp-congruence-str",
+        "vp-congruence-float"])
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, doc):
     assert main([command, kind, write(tmp_path, "bad.json", doc)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unreadable_input_gives_one_error_line(tmp_path, capsys):
+    assert main(["check", "assoc", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_obstruct_checks_each_branch_once(tmp_path, monkeypatch):
+    """The search builds no Congruence for an obstruction branch; the
+    verifier's replay is the one stability check per branch."""
+    calls = []
+    validate = Congruence.__post_init__
+
+    def counting(self):
+        calls.append(self.classes)
+        validate(self)
+
+    monkeypatch.setattr(Congruence, "__post_init__", counting)
+    assert main(["obstruct", "brandt", "-w", "6", "--out", str(tmp_path / "cert.json")]) == 0
+    branches = json.loads((tmp_path / "cert.json").read_text())["branches"]
+    assert len(branches) == 4
+    assert calls == [tuple(br["classes"]) for br in branches]
+    calls.clear()  # a NoObstruction partition is replayed by no verifier
+    assert main(["obstruct", "brandt-discrete", "-w", "6", "--out", str(tmp_path / "no.json")]) == 2
+    assert calls == [tuple(json.loads((tmp_path / "no.json").read_text())["classes"])]
 
 
 def _output_rule_case(command, tmp_path):

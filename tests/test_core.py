@@ -10,6 +10,7 @@ from semitop.core import (
     Congruence,
     FinSemigroup,
     NotInverse,
+    _close,
     adjoin_identity,
     adjoin_zero,
     canonical_classes,
@@ -184,7 +185,7 @@ def test_closure_z2_universal():
 def test_closure_records_replayable_chain():
     s = signed_antichain_with_zero(4)
     seeds = [(8, 0), (8, 2)]
-    rho, chain = congruence_closure(s, seeds, RIGHT, record_chain=True)
+    classes, chain = _close(s, seeds, RIGHT)
     for (a, b), m, (da, db) in chain:
         assert s.mul(a, m) == da and s.mul(b, m) == db
     # a bare union-find over seeds plus derived pairs, with no worklist at
@@ -202,7 +203,7 @@ def test_closure_records_replayable_chain():
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     replayed = canonical_classes([find(x) for x in range(s.n)])
-    assert replayed == rho.classes
+    assert replayed == classes
 
 
 def test_meet_and_join_identities():
@@ -239,6 +240,22 @@ def test_enumerate_matches_partition_filter():
         for kind, two in ((RIGHT, False), (TWO_SIDED, True)):
             mine = [r.classes for r in enumerate_congruences(s, kind)]
             assert mine == congruences_by_filter(s.table, two_sided=two), (name, kind)
+
+
+def test_enumerate_validates_each_member_once(monkeypatch):
+    calls = []
+    validate = Congruence.__post_init__
+
+    def counting(self):
+        calls.append(self.classes)
+        validate(self)
+
+    monkeypatch.setattr(Congruence, "__post_init__", counting)
+    for s in (chain_semilattice(3), cyclic_group(4), brandt_semigroup(2)):
+        for kind in (RIGHT, TWO_SIDED):
+            calls.clear()
+            lattice = enumerate_congruences(s, kind)
+            assert sorted(calls) == [rho.classes for rho in lattice]
 
 
 def test_closure_idempotence_over_lattice():

@@ -88,7 +88,7 @@ def test_discrete_controls_survive():
 def test_forcing_closure_chain_is_sound():
     inst = get_instance("exB", 5)
     v = inst.admissible()[0]
-    rho, chain = forcing_closure(inst.presentation, inst.limit, v)
+    classes, chain = forcing_closure(inst.presentation, inst.limit, v)
     t = inst.presentation.base.table
     n = inst.presentation.base.n
     parent = list(range(n))
@@ -109,7 +109,7 @@ def test_forcing_closure_chain_is_sound():
     for (a, b), m, (da, db) in chain:
         assert t[a][m] == da and t[b][m] == db
         union(da, db)
-    assert canonical_classes(tuple(find(x) for x in range(n))) == rho.classes
+    assert canonical_classes(tuple(find(x) for x in range(n))) == classes
     with pytest.raises(DomainError):
         forcing_closure(inst.presentation, inst.limit, 0b1)
 
@@ -163,8 +163,9 @@ def test_verifier_runs_no_closure(monkeypatch):
         raise AssertionError("the verifier called the search engine")
 
     monkeypatch.setattr(semitop.obstruct, "forcing_closure", engine)
-    monkeypatch.setattr(semitop.obstruct, "congruence_closure", engine)
     monkeypatch.setattr(semitop.core, "congruence_closure", engine)
+    monkeypatch.setattr(semitop.obstruct, "_close", engine)
+    monkeypatch.setattr(semitop.core, "_close", engine)
     for inst, doc in honest:
         assert verify_certificate(inst, certificate_from_doc(doc)) == (True, None), inst.instance_id
 

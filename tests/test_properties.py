@@ -11,12 +11,14 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import congruences_by_filter, right_stable, u2_at_point_by_replay, u_at_point_by_replay
+from oracles import (congruences_by_filter, left_stable, right_stable, u2_at_point_by_replay,
+                     u_at_point_by_replay)
 from semitop.core import (
     RIGHT,
     TWO_SIDED,
     Congruence,
     FinSemigroup,
+    _close,
     canonical_classes,
     check_associativity,
     congruence_closure,
@@ -95,6 +97,30 @@ def test_closure_is_idempotent(data):
     rho = congruence_closure(s, pairs, kind)
     merges = [(blk[0], x) for blk in rho.blocks() for x in blk[1:]]
     assert congruence_closure(s, merges, kind).classes == rho.classes
+
+
+@functools.cache
+def _lattice_by_filter(name, kind):
+    table = dict(SMALL)[name].table
+    return congruences_by_filter(table, two_sided=kind == TWO_SIDED)
+
+
+@given(st.sampled_from([name for name, _ in SMALL]), st.sampled_from([RIGHT, TWO_SIDED]),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=4))
+def test_close_is_the_least_congruence_over_the_seeds(name, kind, pairs):
+    """The unchecked engine against the oracles: its classes are stable for
+    the kind, and they refine every filtered congruence holding the seeds."""
+    s = dict(SMALL)[name]
+    seeds = [(a % s.n, b % s.n) for a, b in pairs]
+    classes, _ = _close(s, seeds, kind)
+    assert right_stable(s.table, classes)
+    assert kind == RIGHT or left_stable(s.table, classes)
+    holding = [vec for vec in _lattice_by_filter(name, kind)
+               if all(vec[a] == vec[b] for a, b in seeds)]
+    assert classes in holding
+    for vec in holding:
+        assert all(vec[a] == vec[b] for a in range(s.n) for b in range(s.n)
+                   if classes[a] == classes[b])
 
 
 @given(semigroup_and_pairs(), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=3))
