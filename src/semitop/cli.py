@@ -59,7 +59,6 @@ from .obstruct import (
 )
 from .topo import (
     TopSemigroup,
-    TruncatedPresentation,
     congruence_basis_check,
     ditopological_check,
     points_of,
@@ -107,7 +106,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise LoadError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -186,18 +185,19 @@ def cmd_obstruct(args) -> int:
 # -- check ---------------------------------------------------------------------
 
 def _bundle_parts(doc):
-    """A check input is a semigroup document, or a bundle with 'semigroup'
-    plus optional 'topology' and 'congruence', or a truncated presentation."""
+    """(presentation, semigroup, topology, congruence) of a check input: a
+    semigroup document, or a bundle with 'semigroup' plus optional
+    'topology' and 'congruence', or a truncated presentation."""
     if not isinstance(doc, dict):
         raise LoadError("check input must be a JSON object")
     if doc.get("kind") == "truncated_presentation":
-        return presentation_from_doc(doc), None, None
+        pres = presentation_from_doc(doc)
+        return pres, pres.base, None, None
     if "semigroup" in doc:
         sem = parse_semigroup(doc["semigroup"])
         top = top_spec_from_doc(doc["topology"]) if doc.get("topology") else None
-        cong = doc.get("congruence")
-        return sem, top, cong
-    return parse_semigroup(doc), None, None
+        return None, sem, top, doc.get("congruence")
+    return None, parse_semigroup(doc), None, None
 
 
 def _need_topology(sem, top):
@@ -221,11 +221,7 @@ def cmd_check(args) -> int:
         if triple:
             lines.append(f"fails at ({triple[0]}, {triple[1]}, {triple[2]})")
     else:
-        loaded = _bundle_parts(doc)
-        if isinstance(loaded[0], TruncatedPresentation):
-            pres, sem, top, cong = loaded[0], loaded[0].base, None, None
-        else:
-            pres, (sem, top, cong) = None, loaded
+        pres, sem, top, cong = _bundle_parts(doc)
 
         if kind == "inverse":
             got = inverse_structure(sem)

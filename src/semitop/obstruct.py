@@ -11,7 +11,8 @@ and can be replayed independently of the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .core import (
     RIGHT,
@@ -23,7 +24,7 @@ from .core import (
     canonical_classes,
     is_semilattice,
 )
-from .errors import DomainError, KindError, LoadError, TheoremViolationError
+from .errors import DomainError, KindError, LoadError, SizeError, TheoremViolationError
 from .semigroups import (
     brandt_semigroup,
     cyclic_group,
@@ -103,14 +104,19 @@ def forcing_closure(pres: TruncatedPresentation, p: int, v_mask: int):
     return _close(pres.base, seeds, RIGHT)
 
 
+def _fires(target: EscapeTarget, classes, limit: int, x: int) -> bool:
+    """Whether element x witnesses that the partition violates the target:
+    x shares the limit's class outside the open set, or shares the isolated
+    point's class without being it."""
+    if target.mode == CLASS_ESCAPES:
+        return classes[x] == classes[limit] and not (target.open_set >> x) & 1
+    return classes[x] == classes[target.point] and x != target.point
+
+
 def target_fired(target: EscapeTarget, classes, limit: int) -> tuple[bool, int | None]:
     """Whether the forced partition violates the target; witness is the least
     offending element."""
-    if target.mode == CLASS_ESCAPES:
-        hits = (x for x, c in enumerate(classes) if c == classes[limit] and not (target.open_set >> x) & 1)
-    else:
-        hits = (x for x, c in enumerate(classes) if c == classes[target.point] and x != target.point)
-    witness = next(hits, None)
+    witness = next((x for x in range(len(classes)) if _fires(target, classes, limit, x)), None)
     return witness is not None, witness
 
 
@@ -229,13 +235,8 @@ def verify_certificate(inst: CatalogInstance, cert: ObstructionCertificate) -> t
             return False, "replayed partition is not right-stable"
         if not 0 <= br.target_index < len(inst.targets):
             return False, "target index out of range"
-        tgt = inst.targets[br.target_index]
-        if tgt.mode == CLASS_ESCAPES:
-            if replayed[br.witness] != replayed[inst.limit] or (tgt.open_set >> br.witness) & 1:
-                return False, "recorded witness does not escape the target set"
-        else:
-            if br.witness == tgt.point or replayed[br.witness] != replayed[tgt.point]:
-                return False, "recorded witness does not collapse the target point"
+        if not _fires(inst.targets[br.target_index], replayed, inst.limit, br.witness):
+            return False, "recorded witness does not fire the recorded target"
     return True, None
 
 
@@ -392,95 +393,65 @@ def chain_finite_check(s: FinSemigroup) -> tuple[bool, tuple[int, ...]]:
 
 # -- the catalog ---------------------------------------------------------------
 
+_MAX_WINDOW = 40  # brandt and luke then have 1601 elements
+
+
 def _window_guard(window):
     if window < 4:
         raise DomainError(f"window {window} is too small; the families need at least 4")
+    if window > _MAX_WINDOW:
+        raise SizeError(f"window {window} is too large; the catalog stops at {_MAX_WINDOW}")
     return window - 2
 
 
-def exB_instance(window=6, discrete=False) -> CatalogInstance:
+# Each family maps a window w to (carrier, limit point, admissible family,
+# core, escape target, notes); get_instance assembles the instance and
+# derives the discrete control.
+
+def _exB(w):
     """Signed antichain with zero: all points isolated except the positive
     zero, whose neighborhoods are even tails.  Forcing any tail into the
     class of (0,+) drives the matching negative tail into the class of the
     isolated point (0,-) via right multiplication by (x_i,-)."""
-    w = window
-    guard = _window_guard(w)
     base = signed_antichain_with_zero(w)
     p, q = 2 * w, 2 * w + 1
-    if discrete:
-        families = ((p, (1 << p,)),)
-        core = (1 << base.n) - 1
-        strict = False
-    else:
-        m_count = w - 2
-        fams = tuple(
-            mask_of([p] + [2 * i for i in range(k, w)]) for k in range(m_count)
-        )
-        families = ((p, fams),)
-        # negative-tail points have no small enough admissible neighborhoods
-        # left in the window, so continuity is only replayable off them
-        core = ((1 << base.n) - 1) ^ mask_of(2 * j + 1 for j in range(w - 3, w))
-        strict = True
-    pres = TruncatedPresentation(
-        base=base, window=w, guard=guard, limit_points=(p,), families=families,
-        core=core, name=f"exB:{w}" + ("-discrete" if discrete else ""), strict=strict)
-    targets = (EscapeTarget(
+    fams = tuple(mask_of([p] + [2 * i for i in range(k, w)]) for k in range(w - 2))
+    # negative-tail points have no small enough admissible neighborhoods
+    # left in the window, so continuity is only replayable off them
+    core = ((1 << base.n) - 1) ^ mask_of(2 * j + 1 for j in range(w - 3, w))
+    target = EscapeTarget(
         ISOLATED_COLLAPSES, point=q,
-        description="the isolated negative zero acquires a classmate"),)
-    return CatalogInstance(
-        instance_id="exB" + ("-discrete" if discrete else ""),
-        presentation=pres, limit=p, targets=targets,
-        notes="commutative inverse; discrete everywhere except one limit idempotent")
+        description="the isolated negative zero acquires a classmate")
+    return (base, p, fams, core, target,
+            "commutative inverse; discrete everywhere except one limit idempotent")
 
 
-def odd_chain_instance(window=6, discrete=False) -> CatalogInstance:
+def _odd_chain(w):
     """Reciprocal chain under minimum: index i is 1/(i+1), index w is the
     limit 0, and the limit's neighborhoods hold only odd reciprocals (even
     indices).  Forcing an even index into the class of 0 drags in its odd
     successor, which no admissible neighborhood contains."""
-    w = window
-    guard = _window_guard(w)
     n = w + 1
     table = tuple(tuple(max(a, b) for b in range(n)) for a in range(n))
     names = tuple(f"1/{i + 1}" for i in range(w)) + ("0",)
     base = FinSemigroup(table, names=names, name=f"odd_chain{w}", identity=0)
     p = w
-    if discrete:
-        families = ((p, (1 << p,)),)
-        core = (1 << n) - 1
-        strict = False
-    else:
-        m_count = max(1, (w - 2) // 2)
-        fams = tuple(
-            mask_of([p] + [2 * i for i in range(m, (w + 1) // 2)])
-            for m in range(m_count)
-        )
-        families = ((p, fams),)
-        core = ((1 << n) - 1) ^ mask_of(
-            j for j in range(2 * m_count - 2, w) if j % 2 == 1)
-        strict = True
-    pres = TruncatedPresentation(
-        base=base, window=w, guard=guard, limit_points=(p,), families=families,
-        core=core, name=f"odd_chain:{w}" + ("-discrete" if discrete else ""), strict=strict)
-    if discrete:
-        targets = (EscapeTarget(
-            CLASS_ESCAPES, open_set=1 << p,
-            description="the class of 0 leaves its singleton"),)
-    else:
-        targets = (EscapeTarget(
-            CLASS_ESCAPES, open_set=pres.family(p)[0],
-            description="the class of 0 leaves the largest odd-reciprocal neighborhood"),)
-    return CatalogInstance(
-        instance_id="odd_chain" + ("-discrete" if discrete else ""),
-        presentation=pres, limit=p, targets=targets,
-        notes="locally compact chain semilattice with a single limit point")
+    m_count = max(1, (w - 2) // 2)
+    fams = tuple(
+        mask_of([p] + [2 * i for i in range(m, (w + 1) // 2)]) for m in range(m_count))
+    core = ((1 << n) - 1) ^ mask_of(j for j in range(2 * m_count - 2, w) if j % 2 == 1)
+    target = EscapeTarget(
+        CLASS_ESCAPES, open_set=fams[0],
+        description="the class of 0 leaves the largest odd-reciprocal neighborhood")
+    return (base, p, fams, core, target,
+            "locally compact chain semilattice with a single limit point")
 
 
 _RS_GROUPS = {"Z2": lambda: cyclic_group(2), "R2": lambda: right_zero(2),
               "S3": lambda: symmetric_group(3)}
 
 
-def right_simple_zero_instance(window=6, variant="Z2", discrete=False) -> CatalogInstance:
+def _right_simple_zero(w, variant):
     """A right simple semigroup times a right-zero band, with adjoined zero.
 
     Continuity of multiplication at the non-isolated zero forces its only
@@ -488,10 +459,6 @@ def right_simple_zero_instance(window=6, variant="Z2", discrete=False) -> Catalo
     blown open by a*S = S), so the single forcing branch collapses
     everything and every isolated point loses its singleton class.
     """
-    if variant not in _RS_GROUPS:
-        raise DomainError(f"unknown right-simple variant {variant!r}")
-    w = window
-    guard = _window_guard(w)
     g = _RS_GROUPS[variant]()
     k = g.n
 
@@ -511,134 +478,92 @@ def right_simple_zero_instance(window=6, variant="Z2", discrete=False) -> Catalo
         tuple(tuple(table[a][b] for b in range(n - 1)) for a in range(n - 1))))
     if not ok:
         raise TheoremViolationError(f"carrier is not right simple at {bad}")
-    p = n - 1
-    if discrete:
-        families = ((p, (1 << p,)),)
-        strict = False
-    else:
-        families = ((p, ((1 << n) - 1,)),)
-        strict = True
-    pres = TruncatedPresentation(
-        base=base, window=w, guard=guard, limit_points=(p,), families=families,
-        core=(1 << n) - 1,
-        name=f"right_simple_zero:{variant}:{w}" + ("-discrete" if discrete else ""),
-        strict=strict)
-    targets = (EscapeTarget(
+    target = EscapeTarget(
         ISOLATED_COLLAPSES, point=0,
-        description="right simplicity spreads the zero class over the carrier"),)
-    return CatalogInstance(
-        instance_id=f"right_simple_zero:{variant}" + ("-discrete" if discrete else ""),
-        presentation=pres, limit=p, targets=targets,
-        notes="the zero admits no proper open neighborhood compatible with continuity")
+        description="right simplicity spreads the zero class over the carrier")
+    full = (1 << n) - 1
+    return (base, n - 1, (full,), full, target,
+            "the zero admits no proper open neighborhood compatible with continuity")
 
 
-def brandt_instance(window=6, discrete=False) -> CatalogInstance:
+def _brandt(w):
     """Rank-at-most-one partial bijections with diagonal-tail neighborhoods
     of the empty map.  Forcing a diagonal into the class of 0 produces
     off-diagonal elements there, escaping every admissible neighborhood."""
-    w = window
-    guard = _window_guard(w)
     base = brandt_semigroup(w)
     p = w * w
-    if discrete:
-        families = ((p, (1 << p,)),)
-        core = (1 << base.n) - 1
-        strict = False
-    else:
-        m_count = w - 2
-        fams = tuple(
-            mask_of([p] + [i * w + i for i in range(k, w)]) for k in range(m_count)
-        )
-        families = ((p, fams),)
-        cut = w - 3
-        core = mask_of(
-            [p] + [i * w + i for i in range(w)]
-            + [i * w + j for i in range(cut) for j in range(cut) if i != j])
-        strict = True
-    pres = TruncatedPresentation(
-        base=base, window=w, guard=guard, limit_points=(p,), families=families,
-        core=core, name=f"brandt:{w}" + ("-discrete" if discrete else ""), strict=strict)
-    open0 = pres.family(p)[0] if not discrete else 1 << p
-    targets = (EscapeTarget(
-        CLASS_ESCAPES, open_set=open0,
-        description="an off-diagonal element joins the class of the empty map"),)
-    return CatalogInstance(
-        instance_id="brandt" + ("-discrete" if discrete else ""),
-        presentation=pres, limit=p, targets=targets,
-        notes="inverse semigroup with compact idempotent set in the full space")
+    fams = tuple(mask_of([p] + [i * w + i for i in range(k, w)]) for k in range(w - 2))
+    cut = w - 3
+    core = mask_of(
+        [p] + [i * w + i for i in range(w)]
+        + [i * w + j for i in range(cut) for j in range(cut) if i != j])
+    target = EscapeTarget(
+        CLASS_ESCAPES, open_set=fams[0],
+        description="an off-diagonal element joins the class of the empty map")
+    return (base, p, fams, core, target,
+            "inverse semigroup with compact idempotent set in the full space")
 
 
-def luke_instance(window=6, discrete=False) -> CatalogInstance:
+def _luke(w):
     """Same carrier as the diagonal instance, but with square-tail
     neighborhoods {g : dom g and im g avoid [0, k)} and the escape target
     'image avoids 0'.  Forcing (i,j) into the class of the empty map forces
     (i,0) there too, by right multiplication with (j,0)."""
-    w = window
-    guard = _window_guard(w)
     base = brandt_semigroup(w)
     p = w * w
-    if discrete:
-        families = ((p, (1 << p,)),)
-        core = (1 << base.n) - 1
-        strict = False
-    else:
-        m_count = w - 2
-        fams = tuple(
-            mask_of([p] + [i * w + j for i in range(k, w) for j in range(k, w)])
-            for k in range(m_count)
-        )
-        families = ((p, fams),)
-        cut = w - 3
-        low = mask_of(i * w + j for i in range(cut) for j in range(cut))
-        high = mask_of(i * w + j for i in range(cut, w) for j in range(cut, w))
-        core = (1 << p) | low | high
-        strict = True
-    pres = TruncatedPresentation(
-        base=base, window=w, guard=guard, limit_points=(p,), families=families,
-        core=core, name=f"luke:{w}" + ("-discrete" if discrete else ""), strict=strict)
-    if discrete:
-        open0 = 1 << p
-    else:
-        open0 = mask_of([p] + [i * w + j for i in range(w) for j in range(1, w)])
-    targets = (EscapeTarget(
-        CLASS_ESCAPES, open_set=open0,
-        description="the class of the empty map hits an element with 0 in its image"),)
-    return CatalogInstance(
-        instance_id="luke" + ("-discrete" if discrete else ""),
-        presentation=pres, limit=p, targets=targets,
-        notes="the escape leaves a subbasic set rather than an admissible neighborhood")
+    fams = tuple(
+        mask_of([p] + [i * w + j for i in range(k, w) for j in range(k, w)])
+        for k in range(w - 2))
+    cut = w - 3
+    low = mask_of(i * w + j for i in range(cut) for j in range(cut))
+    high = mask_of(i * w + j for i in range(cut, w) for j in range(cut, w))
+    image_avoids_0 = mask_of([p] + [i * w + j for i in range(w) for j in range(1, w)])
+    target = EscapeTarget(
+        CLASS_ESCAPES, open_set=image_avoids_0,
+        description="the class of the empty map hits an element with 0 in its image")
+    return (base, p, fams, (1 << p) | low | high, target,
+            "the escape leaves a subbasic set rather than an admissible neighborhood")
 
 
-_FAMILIES = ("exB", "odd_chain", "right_simple_zero", "brandt", "luke")
+_FAMILIES = {"exB": _exB, "odd_chain": _odd_chain, "right_simple_zero": _right_simple_zero,
+             "brandt": _brandt, "luke": _luke}
 
 
 def get_instance(instance_id: str, window: int = 6) -> CatalogInstance:
     """Build a catalog instance from its identifier.
 
     Identifiers are a family name, an optional ':variant' (right_simple_zero
-    only), and an optional '-discrete' suffix selecting the discrete control
-    with the same carrier.
+    only, Z2 by default), and an optional '-discrete' suffix selecting the
+    discrete control with the same carrier: the limit point's only
+    neighborhood is itself, every point is core, and a class-escape target
+    is the singleton of the limit point.
     """
-    name = instance_id
-    discrete = name.endswith("-discrete")
-    if discrete:
-        name = name[: -len("-discrete")]
-    variant = None
-    if ":" in name:
-        name, variant = name.split(":", 1)
-    if name not in _FAMILIES:
+    name = instance_id.removesuffix("-discrete")
+    suffix = instance_id[len(name):]
+    family, colon, variant = name.partition(":")
+    if family not in _FAMILIES:
         raise LoadError(f"unknown instance {instance_id!r}")
-    if name == "right_simple_zero":
-        return right_simple_zero_instance(window, variant=variant or "Z2", discrete=discrete)
-    if variant is not None:
-        raise LoadError(f"family {name} takes no variant")
-    builder = {
-        "exB": exB_instance,
-        "odd_chain": odd_chain_instance,
-        "brandt": brandt_instance,
-        "luke": luke_instance,
-    }[name]
-    return builder(window, discrete=discrete)
+    if family == "right_simple_zero":
+        variant = variant or "Z2"
+        if variant not in _RS_GROUPS:
+            raise DomainError(f"unknown right-simple variant {variant!r}")
+        name = f"{family}:{variant}"
+        build = partial(_right_simple_zero, variant=variant)
+    elif colon:
+        raise LoadError(f"family {family} takes no variant")
+    else:
+        build = _FAMILIES[family]
+    guard = _window_guard(window)
+    base, p, fams, core, target, notes = build(window)
+    if suffix:
+        fams, core = (1 << p,), (1 << base.n) - 1
+        if target.mode == CLASS_ESCAPES:
+            target = replace(target, open_set=1 << p)
+    pres = TruncatedPresentation(
+        base=base, window=window, guard=guard, limit_points=(p,), families=((p, fams),),
+        core=core, name=f"{name}:{window}{suffix}", strict=not suffix)
+    return CatalogInstance(
+        instance_id=name + suffix, presentation=pres, limit=p, targets=(target,), notes=notes)
 
 
 def catalog(window: int = 6) -> tuple[CatalogInstance, ...]:

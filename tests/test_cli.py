@@ -425,3 +425,27 @@ def test_one_output_rule(tmp_path, capsys, command, flags):
         assert stdout == ""
     else:
         assert json.loads(stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "assoc"], ["embed", "cayley"], ["obstruct", "exB", "-w", "4", "--replay"]])
+def test_deeply_nested_json_gives_one_error_line(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)  # deeper than json.dumps can write
+    assert main(argv + [str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["obstruct", "brandt", "-w", "41"], ["catalog", "-w", "41"]])
+def test_windows_above_the_bound_give_one_error_line(capsys, monkeypatch, argv):
+    def no_table(w):
+        raise AssertionError(f"built a table at window {w}")
+
+    monkeypatch.setattr("semitop.obstruct.brandt_semigroup", no_table)
+    monkeypatch.setattr("semitop.obstruct.signed_antichain_with_zero", no_table)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: window 41") and captured.err.count("\n") == 1

@@ -8,7 +8,7 @@ import pytest
 import semitop.core
 import semitop.obstruct
 from semitop.core import _UnionFind, canonical_classes
-from semitop.errors import DomainError, LoadError
+from semitop.errors import DomainError, LoadError, SizeError
 from semitop.obstruct import (
     CatalogInstance,
     EscapeTarget,
@@ -250,3 +250,36 @@ def test_window_bounds():
         inst = get_instance(fam, 12)
         cert = escape_certificate(inst)
         assert verify_certificate(inst, cert) == (True, None)
+
+
+def test_windows_above_the_bound_raise_before_any_table(monkeypatch):
+    def no_table(w):
+        raise AssertionError(f"built a table at window {w}")
+
+    monkeypatch.setattr(semitop.obstruct, "brandt_semigroup", no_table)
+    for fam in ("brandt", "luke", "brandt-discrete"):
+        with pytest.raises(SizeError):
+            get_instance(fam, 41)
+    with pytest.raises(SizeError):
+        catalog(41)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_verifier_accepts_exactly_the_firing_witnesses(fam):
+    """Any element may stand as a branch's witness iff it shares the limit's
+    class outside the open set (class-escapes) or shares the isolated
+    point's class without being it (isolated-collapses)."""
+    inst = get_instance(fam, 5)
+    cert = escape_certificate(inst)
+    br = cert.branches[-1]
+    tgt = inst.targets[br.target_index]
+    c = br.classes
+    for x in range(len(c)):
+        if tgt.mode == "class-escapes":
+            fires = c[x] == c[inst.limit] and x not in points_of(tgt.open_set)
+        else:
+            fires = c[x] == c[tgt.point] and x != tgt.point
+        forged = replace(cert, branches=cert.branches[:-1] + (replace(br, witness=x),))
+        expected = (True, None) if fires else (
+            False, "recorded witness does not fire the recorded target")
+        assert verify_certificate(inst, forged) == expected
