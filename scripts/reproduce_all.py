@@ -10,11 +10,10 @@ script produce byte-identical trees; the acceptance suite relies on that.
 Usage: reproduce_all.py [OUTDIR]   (default: ./artifacts)
 """
 
-import json
 import sys
 from pathlib import Path
 
-from semitop.cli import main
+from semitop.cli import _emit_json, main
 from semitop.core import semigroup_doc
 from semitop.semigroups import cyclic_group, embedding_catalog, symmetric_inverse_monoid
 from semitop.topo import bundled_top_semigroups, top_spec_doc
@@ -30,7 +29,7 @@ def run(argv, expect):
 
 
 def write_json(path: Path, doc) -> Path:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit_json(doc, path)
     return path
 
 

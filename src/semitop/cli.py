@@ -6,8 +6,9 @@ predicate over a JSON input, ``embed`` builds and audits a representation.
 
 Exit codes: 0 when the run produced a certificate or a true verdict, 2 for
 NoObstruction or a false verdict, 1 for malformed input or a failed
-verification.  JSON output is byte-deterministic (sorted keys, fixed
-indentation); ANSI color on the human output is opt-in via SEMITOP_COLOR.
+verification.  JSON output is byte-deterministic: sorted keys, compact
+separators, one line plus a newline (``python -m json.tool`` re-indents
+it).  ANSI color on the human output is opt-in via SEMITOP_COLOR.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ def _paint(text, code):
 
 
 def _emit_json(doc, out=None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON writer: sorted keys on one compact line, which CPython
+    encodes in C; ``python -m json.tool`` indents it for reading."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
         Path(out).write_text(text)
     else:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 
 from .errors import (
     DomainError,
@@ -266,29 +267,27 @@ class Congruence:
             raise MalformedTableError("class vector length differs from carrier size")
         if self.classes != canonical_classes(self.classes):
             raise MalformedTableError("class vector is not in canonical first-occurrence form")
-        t = self.base.table
-        c = self.classes
         n = self.base.n
+        if n < 2:  # at most one point is always stable; itemgetter of one index is no tuple
+            return
+        c = self.classes
         # comparing every member against its block representative covers all
         # same-class pairs by transitivity and keeps validation quadratic
-        blocks = [[] for _ in range(max(c) + 1 if c else 0)]
+        blocks = [[] for _ in range(max(c) + 1)]
         for x, cx in enumerate(c):
             blocks[cx].append(x)
+        sides = [(self.base.table, "not right-stable: ({rep},{x}) * {s}")]
+        if self.kind == TWO_SIDED:
+            sides.append((tuple(zip(*self.base.table)), "not left-stable: {s} * ({rep},{x})"))
         for block in blocks:
             rep = block[0]
-            want = tuple(c[v] for v in t[rep])
-            for x in block[1:]:
-                got = tuple(c[v] for v in t[x])
-                if got != want:
-                    s = next(i for i in range(n) if got[i] != want[i])
-                    raise KindError(f"not right-stable: ({rep},{x}) * {s}")
-            if self.kind == TWO_SIDED:
-                want = tuple(c[t[s][rep]] for s in range(n))
+            for rows, message in sides:
+                want = itemgetter(*rows[rep])(c)
                 for x in block[1:]:
-                    got = tuple(c[t[s][x]] for s in range(n))
+                    got = itemgetter(*rows[x])(c)
                     if got != want:
                         s = next(i for i in range(n) if got[i] != want[i])
-                        raise KindError(f"not left-stable: {s} * ({rep},{x})")
+                        raise KindError(message.format(rep=rep, x=x, s=s))
 
     @property
     def num_classes(self):
@@ -317,26 +316,29 @@ def universal(s: FinSemigroup, kind=RIGHT) -> Congruence:
 
 
 class _UnionFind:
-    """Union-find with path halving; roots are tracked as the minimum element
-    so representatives are deterministic."""
+    """Quick-find with union by size: ``label[x]`` is the class id of x, so
+    ``find`` is one lookup, and ``union`` relabels the members of the smaller
+    class.  Class ids are arbitrary; callers canonicalize the label vector."""
 
     def __init__(self, n):
-        self.parent = list(range(n))
+        self.label = list(range(n))
+        self.members = [[x] for x in range(n)]
 
     def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+        return self.label[x]
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        label, members = self.label, self.members
+        la, lb = label[a], label[b]
+        if la == lb:
             return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+        if len(members[la]) < len(members[lb]):
+            la, lb = lb, la
+        moved = members[lb]
+        for x in moved:
+            label[x] = la
+        members[la] += moved
+        members[lb] = None
         return True
 
 
@@ -345,16 +347,18 @@ def _close(s: FinSemigroup, seeds, kind):
     congruence of the given kind containing the seed pairs, not re-checked.
 
     Merging (a, b) enqueues (a*m, b*m) for every multiplier m in ascending
-    order (and (m*a, m*b) for the two-sided kind).  Each chain step is
+    order (then (m*a, m*b) for the two-sided kind).  Each chain step is
     ((a, b), multiplier, (a*m, b*m)), recorded at the moment the derived pair
     still joins two distinct classes; replaying the steps in order rebuilds
-    the same partition.
+    the same partition.  No union happens while one pop's multipliers are
+    scanned, so they are found in bulk from the class labels of the two rows.
     """
     if kind not in (RIGHT, TWO_SIDED):
         raise KindError(f"unknown congruence kind {kind!r}")
     n = s.n
-    t = s.table
+    sides = (s.table,) if kind == RIGHT else (s.table, tuple(zip(*s.table)))
     uf = _UnionFind(n)
+    label = uf.label
     chain = []
     work = deque()
     for a, b in seeds:
@@ -363,14 +367,14 @@ def _close(s: FinSemigroup, seeds, kind):
         work.append((a, b))
     while work:
         a, b = work.popleft()
-        if not uf.union(a, b):
+        if not uf.union(a, b):  # a union needs n >= 2, so itemgetter gives tuples
             continue
-        for m in range(n):
-            for da, db in ((t[a][m], t[b][m]),) if kind == RIGHT else ((t[a][m], t[b][m]), (t[m][a], t[m][b])):
-                if da != db and uf.find(da) != uf.find(db):
-                    work.append((da, db))
-                    chain.append(((a, b), m, (da, db)))
-    return canonical_classes([uf.find(x) for x in range(n)]), tuple(chain)
+        for rows in sides:
+            ra, rb = rows[a], rows[b]
+            for m in compress(range(n), map(ne, itemgetter(*ra)(label), itemgetter(*rb)(label))):
+                work.append((ra[m], rb[m]))
+                chain.append(((a, b), m, (ra[m], rb[m])))
+    return canonical_classes(label), tuple(chain)
 
 
 def congruence_closure(s: FinSemigroup, seeds, kind=RIGHT) -> Congruence:
@@ -403,7 +407,7 @@ def congruence_join(r1: Congruence, r2: Congruence) -> Congruence:
                 uf.union(rep[c], x)
             else:
                 rep[c] = x
-    return Congruence(r1.base, r1.kind, canonical_classes([uf.find(x) for x in range(n)]))
+    return Congruence(r1.base, r1.kind, canonical_classes(uf.label))
 
 
 def enumerate_congruences(s: FinSemigroup, kind=RIGHT, bound=10, limit=20000) -> list[Congruence]:

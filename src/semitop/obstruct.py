@@ -226,7 +226,7 @@ def verify_certificate(inst: CatalogInstance, cert: ObstructionCertificate) -> t
             if t[a][m] != da or t[b][m] != db:
                 return False, f"chain step misapplies multiplier {m}"
             uf.union(da, db)
-        replayed = canonical_classes([uf.find(x) for x in range(n)])
+        replayed = canonical_classes(uf.label)
         if replayed != tuple(br.classes):
             return False, "chain replay does not reproduce the recorded partition"
         try:
@@ -544,7 +544,7 @@ def get_instance(instance_id: str, window: int = 6) -> CatalogInstance:
     if family not in _FAMILIES:
         raise LoadError(f"unknown instance {instance_id!r}")
     if family == "right_simple_zero":
-        variant = variant or "Z2"
+        variant = variant if colon else "Z2"
         if variant not in _RS_GROUPS:
             raise DomainError(f"unknown right-simple variant {variant!r}")
         name = f"{family}:{variant}"

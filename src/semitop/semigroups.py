@@ -112,18 +112,15 @@ def symmetric_inverse_monoid(n):
 
 def brandt_semigroup(w) -> FinSemigroup:
     """Partial bijections of cardinality at most one on a w-point set:
-    {(i, j)} at index i*w + j, the empty map at index w*w."""
+    {(i, j)} at index i*w + j, the empty map at index w*w.
+
+    (i, j)*(k, l) is (i, l) when j == k and empty otherwise, so the row of
+    (i, j) is empty except for block j, which holds (i, 0) .. (i, w-1)."""
     empty = w * w
-
-    def mul(a, b):
-        if a == empty or b == empty:
-            return empty
-        i, j = divmod(a, w)
-        k, l = divmod(b, w)
-        return i * w + l if j == k else empty
-
-    n = w * w + 1
-    table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
+    empty_row = (empty,) * (empty + 1)
+    table = tuple(
+        empty_row[:j * w] + tuple(range(i * w, i * w + w)) + empty_row[j * w + w:]
+        for i in range(w) for j in range(w)) + (empty_row,)
     names = tuple(f"({i},{j})" for i in range(w) for j in range(w)) + ("0",)
     return FinSemigroup(table, names=names, name=f"B{w}")
 

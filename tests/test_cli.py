@@ -13,7 +13,7 @@ from semitop.semigroups import (
     left_zero,
     symmetric_inverse_monoid,
 )
-from semitop.obstruct import get_instance
+from semitop.obstruct import certificate_doc, escape_certificate, get_instance
 from semitop.topo import bundled_top_semigroups, presentation_doc, top_spec_doc
 
 
@@ -416,7 +416,7 @@ def test_one_output_rule(tmp_path, capsys, command, flags):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     if "--out" in flags:
-        assert json.loads(out.read_text())
+        assert is_one_compact_line(out.read_text())
     else:
         assert not out.exists()
     if "--json" not in flags:
@@ -424,7 +424,24 @@ def test_one_output_rule(tmp_path, capsys, command, flags):
     elif "--out" in flags:
         assert stdout == ""
     else:
-        assert json.loads(stdout)
+        assert is_one_compact_line(stdout)
+
+
+def is_one_compact_line(text):
+    """The JSON writer's format: sorted keys, compact separators, one line."""
+    return (text.count("\n") == 1
+            and text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json"])
+def test_certificate_is_written_as_one_compact_line(tmp_path, capsys, flag):
+    out = tmp_path / "cert.json"
+    argv = ["obstruct", "brandt", "-w", "5"] + (["--out", str(out)] if flag == "--out" else ["--json"])
+    assert main(argv) == 0
+    text = out.read_text() if flag == "--out" else capsys.readouterr().out
+    doc = certificate_doc(escape_certificate(get_instance("brandt", 5)))
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

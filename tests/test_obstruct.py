@@ -54,6 +54,10 @@ def test_get_instance_variants_and_errors():
         get_instance("unknown_family", 4)
     with pytest.raises(DomainError):
         get_instance("exB", 3)
+    # only an absent variant defaults to Z2; an empty one is unknown
+    for bad in ("right_simple_zero:", "right_simple_zero:-discrete", "right_simple_zero:Z3"):
+        with pytest.raises(DomainError, match="unknown right-simple variant"):
+            get_instance(bad, 6)
 
 
 def test_branch_counts_grow_with_the_window():
