@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import DomainError, EvaluationError, KindError, TheoremViolationError
 from .semigroups import FinProduct, symmetric_inverse_monoid
-from .topo import TopSemigroup, TopSpec, TruncatedPresentation, points_of
+from .topo import TopSemigroup, TopSpec, TruncatedPresentation, holds_nbhds, min_nbhds
 from .transforms import (
     IN,
     NN,
@@ -573,27 +573,16 @@ def verify_embedding(rep: RepresentationMap, source_top=None, basic_opens=None) 
     if isinstance(source_top, TopSemigroup):
         source_top = source_top.top
     if source_top is None:
-        is_open = lambda _m: True
-        basis = tuple(1 << x for x in range(rep.source.n))
-        carrier = rep.source.n
-    elif isinstance(source_top, TopSpec):
-        is_open = source_top.is_open
-        # every open is a union of minimal neighborhoods, and the trace
-        # family below is union-closed, so auditing the minimal ones suffices
-        basis = tuple(sorted({source_top.min_nbhd(x) for x in range(source_top.n)}))
-        carrier = source_top.n
-    elif isinstance(source_top, TruncatedPresentation):
-        is_open = source_top.is_open
-        basis = source_top.basis_masks()
-        carrier = source_top.base.n
+        nbhds = tuple(1 << x for x in range(rep.source.n))
+    elif isinstance(source_top, (TopSpec, TruncatedPresentation)):
+        nbhds = source_top.nbhds
     else:
         raise KindError(f"unsupported source topology {type(source_top).__name__}")
-    if carrier != rep.source.n:
+    if len(nbhds) != rep.source.n:
         raise KindError("source topology carrier does not match the representation source")
     if basic_opens is None:
         basic_opens = separating_opens(rep)
 
-    n = rep.source.n
     traces = []
     bad_pre = []
     undecidable = []
@@ -611,22 +600,15 @@ def verify_embedding(rep: RepresentationMap, source_top=None, basic_opens=None) 
         if not decided:
             continue
         traces.append(mask)
-        if not is_open(mask):
+        if not holds_nbhds(nbhds, mask):
             bad_pre.append((b, mask))
 
-    # atom[x] = intersection of all decided traces through x; a subset lies in
-    # the union/intersection closure of the traces iff it contains the atom of
-    # each of its points
-    full = (1 << n) - 1
-    atom = [full] * n
-    for mask in traces:
-        for x in points_of(mask):
-            atom[x] &= mask
-
-    def in_closure(u):
-        return all(not atom[x] & ~u for x in points_of(u))
-
-    bad_rel = tuple(u for u in basis if not in_closure(u))
+    # every open is a union of minimal neighborhoods and the traces generate
+    # a union-closed family, so auditing the minimal neighborhoods suffices;
+    # a subset lies in that family iff it holds the least trace-generated
+    # neighborhood of each of its points
+    atoms = min_nbhds(rep.source.n, traces)
+    bad_rel = tuple(u for u in sorted(set(nbhds)) if not holds_nbhds(atoms, u))
     return EmbeddingReport(
         ok=not bad_pre and not bad_rel,
         preimage_failures=tuple(bad_pre),

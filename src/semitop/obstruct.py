@@ -249,8 +249,8 @@ def certificate_doc(cert) -> dict:
             "kind": "no_obstruction",
             "instance": cert.instance_id,
             "window": cert.window,
-            "surviving": list(points_of(cert.surviving)),
-            "classes": list(cert.classes),
+            "surviving": points_of(cert.surviving),
+            "classes": cert.classes,
         }
     return {
         "schema": 1,
@@ -261,9 +261,9 @@ def certificate_doc(cert) -> dict:
         "limit": cert.limit,
         "branches": [
             {
-                "neighborhood": list(points_of(b.neighborhood)),
-                "chain": [[[a, bb], m, [da, db]] for (a, bb), m, (da, db) in b.chain],
-                "classes": list(b.classes),
+                "neighborhood": points_of(b.neighborhood),
+                "chain": b.chain,
+                "classes": b.classes,
                 "target": b.target_index,
                 "witness": b.witness,
             }
@@ -286,6 +286,8 @@ def _branch_from_doc(b):
 
 def certificate_from_doc(doc):
     try:
+        if type(doc["schema"]) is not int or doc["schema"] != 1:
+            raise LoadError(f"unsupported certificate schema {doc['schema']!r}")
         if doc["kind"] == "no_obstruction":
             n = len(doc["classes"])
             return NoObstruction(

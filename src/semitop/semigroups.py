@@ -158,21 +158,6 @@ class FinProduct:
         return self.encode(tuple(f.table[x][y] for f, x, y in zip(self.factors, pa, pb)))
 
 
-def intersection_closure(sets):
-    """Close a family of frozensets under pairwise intersection."""
-    family = set(frozenset(s) for s in sets)
-    grew = True
-    while grew:
-        grew = False
-        for a in list(family):
-            for b in list(family):
-                c = a & b
-                if c not in family:
-                    family.add(c)
-                    grew = True
-    return family
-
-
 def semilattice_from_sets(sets) -> FinSemigroup:
     """Meet semilattice of an intersection-closed family of sets, ordered by
     a deterministic (size, sorted-members) key."""
@@ -210,10 +195,8 @@ def commutative_inverse_monoid_catalog():
 def powerset_semilattice(k) -> FinSemigroup:
     """All subsets of a k-point set under intersection; the full set is the
     identity."""
-    sets = intersection_closure(
-        frozenset(s) for r in range(k + 1) for s in itertools.combinations(range(k), r)
-    )
-    base = semilattice_from_sets(sets)
+    base = semilattice_from_sets(
+        frozenset(s) for r in range(k + 1) for s in itertools.combinations(range(k), r))
     return FinSemigroup(base.table, names=base.names, name=f"powerset{k}",
                         identity=base.n - 1)
 

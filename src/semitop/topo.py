@@ -8,7 +8,7 @@ corresponding statement about the infinite space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     RIGHT,
@@ -64,20 +64,50 @@ def is_topology(n, opens) -> tuple[bool, str | None]:
     return True, None
 
 
+def min_nbhds(n, sets) -> tuple[int, ...]:
+    """Minimal neighborhood of each point in the topology the sets generate:
+    the intersection of the sets holding it, or the whole carrier if none
+    does.  On an open family this is the smallest open around each point."""
+    nb = [(1 << n) - 1] * n
+    for o in sets:
+        for x in points_of(o):
+            nb[x] &= o
+    return tuple(nb)
+
+
+def holds_nbhds(nbhds, mask) -> bool:
+    """The openness rule of a finite space given by its minimal
+    neighborhoods: a set is open iff it holds the neighborhood of each of its
+    points."""
+    return all(not nbhds[x] & ~mask for x in points_of(mask))
+
+
+def _unions(nbhds) -> frozenset[int]:
+    """Every union of the given neighborhoods, the empty one included: the
+    open family of the finite space they are the minimal neighborhoods of."""
+    opens = {0}
+    for v in set(nbhds):
+        opens |= {o | v for o in opens}
+    return frozenset(opens)
+
+
 @dataclass(frozen=True)
 class TopSpec:
     """A finite topology: explicit open-set family over an n-point carrier,
     opens stored as bitmasks and verified closed under union and
-    intersection."""
+    intersection.  `nbhds` holds the minimal open neighborhood of each
+    point."""
 
     n: int
     opens: frozenset[int]
+    nbhds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "opens", frozenset(self.opens))
         ok, why = is_topology(self.n, self.opens)
         if not ok:
             raise DomainError(f"not a topology: {why}")
+        object.__setattr__(self, "nbhds", min_nbhds(self.n, self.opens))
 
     @staticmethod
     def discrete(n) -> "TopSpec":
@@ -94,18 +124,7 @@ class TopSpec:
     def generated(n, subbasis) -> "TopSpec":
         """Close a subbasis under finite intersection and arbitrary union."""
         full = (1 << n) - 1
-        sets = {full} | {s & full for s in subbasis}
-        grew = True
-        while grew:
-            grew = False
-            for a in list(sets):
-                for b in list(sets):
-                    for c in (a & b, a | b):
-                        if c not in sets:
-                            sets.add(c)
-                            grew = True
-        sets.add(0)
-        return TopSpec(n, frozenset(sets))
+        return TopSpec(n, _unions(min_nbhds(n, (s & full for s in subbasis))))
 
     def opens_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.opens))
@@ -114,11 +133,7 @@ class TopSpec:
         return mask in self.opens
 
     def interior(self, mask) -> int:
-        out = 0
-        for o in self.opens:
-            if o & ~mask == 0:
-                out |= o
-        return out
+        return mask_of(x for x, v in enumerate(self.nbhds) if (mask >> x) & 1 and not v & ~mask)
 
     def closure_of(self, mask) -> int:
         full = (1 << self.n) - 1
@@ -131,19 +146,10 @@ class TopSpec:
     def min_nbhd(self, x) -> int:
         """Smallest open set containing x; exists because the open family is
         finite and intersection-closed."""
-        out = (1 << self.n) - 1
-        bit = 1 << x
-        for o in self.opens:
-            if o & bit:
-                out &= o
-        return out
+        return self.nbhds[x]
 
     def isolated_points(self) -> int:
-        out = 0
-        for x in range(self.n):
-            if self.min_nbhd(x) == 1 << x:
-                out |= 1 << x
-        return out
+        return mask_of(x for x, v in enumerate(self.nbhds) if v == 1 << x)
 
 
 def top_spec_doc(spec: TopSpec) -> dict:
@@ -155,7 +161,11 @@ def top_spec_from_doc(doc) -> TopSpec:
         raise LoadError("topology document needs 'n' and 'opens'")
     try:
         n = _index(doc["n"])
-        return TopSpec(n, frozenset(mask_of(_index(z, n) for z in o) for o in doc["opens"]))
+        opens = [[_index(z, n) for z in o] for o in doc["opens"]]
+        # the carrier must be listed; checking before any shift bounds n
+        if n > max(map(len, opens), default=0):
+            raise LoadError("not a topology: the carrier is missing")
+        return TopSpec(n, frozenset(map(mask_of, opens)))
     except DomainError as e:
         raise LoadError(str(e)) from e
     except (TypeError, ValueError) as e:
@@ -184,7 +194,7 @@ def continuity_check(s: FinSemigroup, top: TopSpec) -> tuple[bool, tuple | None]
     """
     if s.n != top.n:
         raise DomainError("semigroup and topology carriers differ in size")
-    return _first_discontinuity(s, range(s.n), [top.min_nbhd(x) for x in range(s.n)])
+    return _first_discontinuity(s, range(s.n), top.nbhds)
 
 
 def _first_discontinuity(s: FinSemigroup, points, nb) -> tuple[bool, tuple | None]:
@@ -230,7 +240,7 @@ def inversion_continuity_check(ts: TopSemigroup, inv) -> tuple[bool, tuple | Non
     least (x, y) with y near x but y^-1 outside the minimal neighborhood of
     x^-1."""
     inv_map = inv.inv if isinstance(inv, InverseStructure) else tuple(inv)
-    nb = [ts.top.min_nbhd(x) for x in range(ts.sem.n)]
+    nb = ts.top.nbhds
     for x in range(ts.sem.n):
         target = nb[inv_map[x]]
         for y in points_of(nb[x]):
@@ -257,7 +267,7 @@ def _ditop_core(ts: TopSemigroup, inv: InverseStructure | None, weak: bool) -> D
                               f"has {found.inverse_count} inverses")
         inv = found
     inv_ok, inv_wit = inversion_continuity_check(ts, inv)
-    nb = [ts.top.min_nbhd(x) for x in range(s.n)]
+    nb = ts.top.nbhds
     emask = mask_of(inv.idempotents)
     # The displayed set grows with U and W (and with V), while the target O
     # shrinks to the minimal neighborhood of x; so minimal neighborhoods
@@ -350,11 +360,7 @@ def cb_derivative(spec: TopSpec, subset: int | None = None) -> int:
     """Non-isolated points of the subspace on `subset` (default: the whole
     carrier)."""
     a = ((1 << spec.n) - 1) if subset is None else subset
-    out = 0
-    for x in points_of(a):
-        if spec.min_nbhd(x) & a != 1 << x:
-            out |= 1 << x
-    return out
+    return mask_of(x for x in points_of(a) if spec.nbhds[x] & a != 1 << x)
 
 
 def scattered_height(spec: TopSpec) -> int | None:
@@ -384,7 +390,9 @@ class TruncatedPresentation:
     outside any finite constraint set.  `core` marks the window positions
     whose neighborhood data survives truncation intact; continuity is only
     replayable on core pairs.  `strict=False` drops the tail requirement
-    (used by discrete control instances).
+    (used by discrete control instances).  `nbhds` holds the minimal open
+    neighborhood of each point: the last listed neighborhood of a limit
+    point, the singleton of any other.
     """
 
     base: FinSemigroup
@@ -395,6 +403,7 @@ class TruncatedPresentation:
     core: int
     name: str = ""
     strict: bool = True
+    nbhds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.base.n
@@ -410,6 +419,9 @@ class TruncatedPresentation:
             raise DomainError("families must list each limit point exactly once, in order")
         full = (1 << n) - 1
         limit_mask = mask_of(self.limit_points)
+        last = {p: fam[-1] for p, fam in self.families if fam}
+        nbhds = tuple(last.get(x, 1 << x) for x in range(n))
+        object.__setattr__(self, "nbhds", nbhds)
         for p, fam in self.families:
             if not 0 <= p < n:
                 raise DomainError(f"limit point {p} is out of range")
@@ -423,6 +435,10 @@ class TruncatedPresentation:
                     raise DomainError(f"a listed neighborhood of {p} does not contain it")
                 if v & ~prev:
                     raise DomainError(f"neighborhood family of {p} is not descending")
+                q = next((q for q in points_of(v & limit_mask) if nbhds[q] & ~v), None)
+                if q is not None:
+                    raise DomainError(f"a listed neighborhood of {p} holds limit point {q} "
+                                      "but not its last neighborhood")
                 if self.strict:
                     tail = v & ~limit_mask & ~((1 << self.guard) - 1)
                     if tail == 0:
@@ -439,16 +455,10 @@ class TruncatedPresentation:
         raise DomainError(f"{p} is not a limit point")
 
     def min_nbhd(self, x) -> int:
-        for q, fam in self.families:
-            if q == x:
-                return fam[-1]
-        return 1 << x
+        return self.nbhds[x]
 
     def is_open(self, mask) -> bool:
-        for p, fam in self.families:
-            if (mask >> p) & 1 and not any(v & ~mask == 0 for v in fam):
-                return False
-        return True
+        return holds_nbhds(self.nbhds, mask)
 
     def basis_masks(self) -> tuple[int, ...]:
         """Singletons of isolated points plus every admissible neighborhood,
@@ -464,12 +474,12 @@ class TruncatedPresentation:
 
     def to_top_spec(self) -> TopSpec:
         """Materialize the presented topology: a set is open when every limit
-        point inside it keeps a whole admissible neighborhood inside it."""
+        point inside it keeps a whole admissible neighborhood inside it, so
+        the opens are the unions of minimal neighborhoods."""
         n = self.base.n
         if n > 16:
             raise DomainError(f"cannot materialize 2^{n} subsets; carrier too large")
-        opens = frozenset(m for m in range(1 << n) if self.is_open(m))
-        return TopSpec(n, opens)
+        return TopSpec(n, _unions(self.nbhds))
 
 
 def presentation_continuity_check(pres: TruncatedPresentation) -> tuple[bool, tuple | None]:
@@ -480,7 +490,7 @@ def presentation_continuity_check(pres: TruncatedPresentation) -> tuple[bool, tu
     guard, which the truncation deliberately does not carry.
     """
     s = pres.base
-    return _first_discontinuity(s, points_of(pres.core), [pres.min_nbhd(x) for x in range(s.n)])
+    return _first_discontinuity(s, points_of(pres.core), pres.nbhds)
 
 
 @dataclass(frozen=True)
@@ -493,9 +503,9 @@ class BasisReport:
 
 def _carrier_and_nbhds(obj):
     if isinstance(obj, TopSemigroup):
-        return obj.sem, [obj.top.min_nbhd(x) for x in range(obj.sem.n)]
+        return obj.sem, obj.top.nbhds
     if isinstance(obj, TruncatedPresentation):
-        return obj.base, [obj.min_nbhd(x) for x in range(obj.base.n)]
+        return obj.base, obj.nbhds
     raise KindError(f"expected TopSemigroup or TruncatedPresentation, got {type(obj).__name__}")
 
 

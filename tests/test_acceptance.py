@@ -7,6 +7,7 @@ gate stays readable in plain ``pytest -v`` output.
 """
 
 import filecmp
+import hashlib
 import json
 import subprocess
 import sys
@@ -237,3 +238,22 @@ def test_criterion_10_reproduction_is_byte_deterministic(capsys, tmp_path):
     for f in files:
         json.loads((first / f).read_text())
     _gate(capsys, 10, f"two artifact runs agree byte-for-byte on {len(files)} files", t0)
+
+
+# sha256 over the reproduction tree: each file, sorted by relative path, fed
+# as path + NUL + bytes + NUL (73 files, 763,427 bytes)
+ARTIFACT_DIGEST = "3e1aff9c8a743e19019688ffd9fa4261da867d70eaa83b385d72bdf389d3c69b"
+
+
+def test_reproduction_matches_the_pinned_digest(tmp_path):
+    """A refactor must leave every artifact byte as it was; two runs of the
+    same code agreeing (criterion 10) cannot show that."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                      if p.is_file()):
+        digest.update(rel.encode() + b"\0" + (tmp_path / rel).read_bytes() + b"\0")
+    assert digest.hexdigest() == ARTIFACT_DIGEST

@@ -349,6 +349,12 @@ def exB4_presentation(key, value):
     ("check", "vp", {"semigroup": semigroup_doc(cyclic_group(2)), "congruence": 5}),
     ("check", "vp", {"semigroup": semigroup_doc(cyclic_group(2)), "congruence": "ab"}),
     ("check", "vp", {"semigroup": semigroup_doc(cyclic_group(2)), "congruence": [0.5, 0.5]}),
+    ("check", "u", {"semigroup": {"table": [[0]]}, "topology": {"n": 2**62, "opens": [[], [0]]}}),
+    ("check", "cong-basis", {
+        "kind": "truncated_presentation", "window": 4, "guard": 2,
+        "semigroup": semigroup_doc(chain_semilattice(4)), "limit_points": [0, 1],
+        "neighborhoods": {"0": [[0, 1]], "1": [[1, 2, 3]]}, "core": [0, 1, 2, 3],
+        "strict_tails": False}),
 ], ids=["embcl-window-str", "embcl-window-missing", "embcl-window-float",
         "embcl-window-bool", "restrict-window-str",
         "restrict-window-missing", "product-no-factors", "restrict-no-maps",
@@ -357,7 +363,7 @@ def exB4_presentation(key, value):
         "presentation-point-negative", "presentation-limit-str", "presentation-window-float",
         "semigroup-identity-bool", "assoc-bool-entries", "semigroup-inverse-int",
         "semigroup-inverse-bool", "vp-congruence-int", "vp-congruence-str",
-        "vp-congruence-float"])
+        "vp-congruence-float", "u-topology-n-huge", "presentation-nbhd-not-open"])
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, doc):
     assert main([command, kind, write(tmp_path, "bad.json", doc)]) == 1
     captured = capsys.readouterr()

@@ -1,0 +1,219 @@
+"""The minimal-neighborhood vector against the scans it replaced.
+
+A finite space is determined by the smallest open set around each point, so
+`TopSpec` and `TruncatedPresentation` keep that vector (`nbhds`) and every
+topological check reads it.  Each test here restates the older, literal rule
+(open-family scans, the pairwise intersection/union fixpoint, the per-family
+openness rule, the 2^n subset scan, the four-way embedding audit) and
+requires the same answer.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import min_nbhd_mask
+from semitop.core import inverse_structure
+from semitop.embed import (
+    EmbeddingReport,
+    cayley_right_regular,
+    separating_opens,
+    verify_embedding,
+    wagner_preston,
+)
+from semitop.errors import DomainError
+from semitop.obstruct import get_instance
+from semitop.semigroups import chain_semilattice, embedding_catalog, symmetric_inverse_monoid
+from semitop.topo import (
+    TopSemigroup,
+    TopSpec,
+    TruncatedPresentation,
+    bundled_top_semigroups,
+    points_of,
+)
+from semitop.transforms import basic_open_member
+
+FIXTURES = bundled_top_semigroups()
+SMALL_CATALOG = [iid + suffix for iid in ("exB", "odd_chain", "right_simple_zero:Z2",
+                                          "right_simple_zero:R2")
+                 for suffix in ("", "-discrete")]
+
+
+def generated_by_fixpoint(n, subbasis):
+    """Close the subbasis and the carrier under pairwise intersection and
+    union until nothing new appears, then add the empty set."""
+    full = (1 << n) - 1
+    sets = {full} | {s & full for s in subbasis}
+    grew = True
+    while grew:
+        grew = False
+        for a in list(sets):
+            for b in list(sets):
+                for c in (a & b, a | b):
+                    if c not in sets:
+                        sets.add(c)
+                        grew = True
+    sets.add(0)
+    return frozenset(sets)
+
+
+def open_by_family_rule(families, mask):
+    """Every limit point inside the set keeps some listed neighborhood
+    inside it."""
+    return all(not (mask >> p) & 1 or any(v & ~mask == 0 for v in fam) for p, fam in families)
+
+
+def opens_by_subset_scan(pres):
+    return frozenset(m for m in range(1 << pres.base.n) if open_by_family_rule(pres.families, m))
+
+
+subbases = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=5)))
+
+
+def test_nbhds_match_the_open_family_scan_on_fixtures():
+    for name, ts in FIXTURES:
+        top = ts.top
+        assert top.nbhds == tuple(min_nbhd_mask(top.opens, top.n, x) for x in range(top.n)), name
+    for iid in SMALL_CATALOG:
+        spec = get_instance(iid, 4).presentation.to_top_spec()
+        assert spec.nbhds == tuple(min_nbhd_mask(spec.opens, spec.n, x) for x in range(spec.n))
+
+
+@given(subbases)
+def test_nbhds_match_the_open_family_scan_on_drawn_topologies(case):
+    n, subbasis = case
+    top = TopSpec(n, generated_by_fixpoint(n, subbasis))
+    assert top.nbhds == tuple(min_nbhd_mask(top.opens, n, x) for x in range(n))
+
+
+@given(subbases)
+def test_generated_matches_the_pairwise_fixpoint(case):
+    n, subbasis = case
+    assert TopSpec.generated(n, subbasis).opens == generated_by_fixpoint(n, subbasis)
+
+
+@pytest.mark.parametrize("instance_id", SMALL_CATALOG)
+def test_presentation_opens_match_the_family_rule_on_the_catalog(instance_id):
+    pres = get_instance(instance_id, 4).presentation
+    want = opens_by_subset_scan(pres)
+    assert all(pres.is_open(m) == (m in want) for m in range(1 << pres.base.n))
+    assert pres.to_top_spec().opens == want
+
+
+def _descending(point, raw, extra):
+    """A descending family through `point`, ending in `raw` plus the point."""
+    fam = [raw | 1 << point]
+    for r in extra:
+        fam.insert(0, fam[0] | r)
+    return tuple(fam)
+
+
+@st.composite
+def two_limit_families(draw):
+    """A carrier size, two limit points and a descending family for each;
+    the listed neighborhoods need not be open."""
+    n = draw(st.integers(2, 7))
+    p, q = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    mask = st.integers(0, (1 << n) - 1)
+    fams = tuple((x, _descending(x, draw(mask), draw(st.lists(mask, max_size=2)))) for x in (p, q))
+    return n, (p, q), fams
+
+
+def _presentation(n, limits, fams):
+    return TruncatedPresentation(chain_semilattice(n), n, 0, limits, fams, (1 << n) - 1,
+                                 strict=False)
+
+
+@settings(max_examples=200)
+@given(two_limit_families())
+def test_presentations_accept_exactly_open_neighborhoods(case):
+    n, limits, fams = case
+    listed_open = all(open_by_family_rule(fams, v) for _, fam in fams for v in fam)
+    try:
+        _presentation(n, limits, fams)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == listed_open
+
+
+@st.composite
+def open_two_limit_presentations(draw):
+    """Two-limit presentations whose listed neighborhoods are open: each is
+    grown until it holds the last neighborhood of every limit point in it."""
+    n, limits, fams = draw(two_limit_families())
+    last = {x: fam[-1] for x, fam in fams}
+
+    def hull(v):
+        while True:
+            grown = v
+            for x in limits:
+                if (grown >> x) & 1:
+                    grown |= last[x]
+            if grown == v:
+                return v
+            v = grown
+
+    # each hull is the least superset closed under the drawn last
+    # neighborhoods, so one pass makes the last neighborhoods open
+    last = {x: hull(v) for x, v in last.items()}
+    fams = tuple((x, tuple(hull(v | last[x]) for v in fam)) for x, fam in fams)
+    return _presentation(n, limits, fams)
+
+
+@settings(max_examples=200)
+@given(open_two_limit_presentations())
+def test_presentation_opens_match_the_family_rule_on_drawn_presentations(pres):
+    want = opens_by_subset_scan(pres)
+    assert all(pres.is_open(m) == (m in want) for m in range(1 << pres.base.n))
+    spec = pres.to_top_spec()
+    assert spec.opens == want
+    assert spec.nbhds == pres.nbhds
+
+
+def audit_by_dispatch(rep, source_top, basic_opens):
+    """The embedding audit with one openness rule per kind of source: None
+    (discrete, everything open), a TopSpec (membership in the open family,
+    minimal neighborhoods from the family scan) or a TopSemigroup."""
+    if isinstance(source_top, TopSemigroup):
+        source_top = source_top.top
+    n = rep.source.n
+    if source_top is None:
+        def is_open(_mask):
+            return True
+        basis = tuple(1 << x for x in range(n))
+    else:
+        is_open = source_top.opens.__contains__
+        basis = tuple(sorted({min_nbhd_mask(source_top.opens, n, x) for x in range(n)}))
+    traces, bad_pre = [], []
+    for b in basic_opens:
+        mask = 0
+        for i, img in enumerate(rep.images):
+            if basic_open_member(img, b):
+                mask |= 1 << i
+        traces.append(mask)
+        if not is_open(mask):
+            bad_pre.append((b, mask))
+    atom = [(1 << n) - 1] * n
+    for mask in traces:
+        for x in points_of(mask):
+            atom[x] &= mask
+    bad_rel = tuple(u for u in basis if any(atom[x] & ~u for x in points_of(u)))
+    return EmbeddingReport(not bad_pre and not bad_rel, tuple(bad_pre), bad_rel, ())
+
+
+AUDIT_CASES = [(name, cayley_right_regular(s), None) for name, s in embedding_catalog()]
+AUDIT_CASES += [("wp_I2", wagner_preston(inverse_structure(symmetric_inverse_monoid(2)[0])), None)]
+for _name, _ts in FIXTURES:
+    AUDIT_CASES += [(_name, cayley_right_regular(_ts.sem), _ts),
+                    (_name + "_spec", cayley_right_regular(_ts.sem), _ts.top)]
+
+
+@pytest.mark.parametrize("name,rep,source", AUDIT_CASES, ids=[c[0] for c in AUDIT_CASES])
+def test_embedding_audit_matches_the_per_source_dispatch(name, rep, source):
+    full = separating_opens(rep)
+    # fewer target opens leave some source neighborhoods without a trace
+    for basic_opens in (full, full[: len(full) // 2], full[:1]):
+        assert verify_embedding(rep, source, basic_opens) == \
+            audit_by_dispatch(rep, source, basic_opens)

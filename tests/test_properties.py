@@ -371,15 +371,15 @@ def test_tampered_certificate_docs_are_rejected(family, mutation, data):
         box, key = data.draw(st.sampled_from(
             _index_slots(doc, br) + [(br, "target"), (br, "chain"), (br, "classes"),
                                      (br, "neighborhood"), (doc, "window"), (doc, "guard"),
-                                     (doc, "branches")]))
+                                     (doc, "branches"), (doc, "schema")]))
         box[key] = _retype(box[key], data.draw(st.sampled_from(["str", "float", "bool", "null",
                                                                 "list"])))
     elif mutation == "header":
-        key = data.draw(st.sampled_from(["instance", "window", "guard", "limit", "kind",
-                                         "branches"]))
+        key = data.draw(st.sampled_from(["schema", "instance", "window", "guard", "limit",
+                                         "kind", "branches"]))
         if data.draw(st.booleans()):
             del doc[key]
-        elif key in ("window", "guard", "limit"):
+        elif key in ("schema", "window", "guard", "limit"):
             doc[key] += data.draw(st.sampled_from((-1, 1)))
         else:
             doc[key] = {"instance": "luke" if family == "brandt" else "odd_chain",

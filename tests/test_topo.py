@@ -242,6 +242,9 @@ def test_presentation_validation():
         TruncatedPresentation(s, 4, 3, (0,), ((0, (0b0011,)),), 0b1111)
     with pytest.raises(DomainError):  # families must match limit_points
         TruncatedPresentation(s, 4, 2, (0, 1), ((0, (0b1111,)),), 0b1111)
+    with pytest.raises(DomainError, match="holds limit point 1"):  # {0,1} misses N_1 = {1,2,3}
+        TruncatedPresentation(s, 4, 2, (0, 1), ((0, (0b0011,)), (1, (0b1110,))), 0b1111,
+                              strict=False)
     # the same no-tail family is fine when strict checking is off
     lax = TruncatedPresentation(s, 4, 3, (0,), ((0, (0b0011,)),), 0b1111, strict=False)
     assert lax.min_nbhd(0) == 0b0011
