@@ -13,6 +13,9 @@ Usage: reproduce_all.py [OUTDIR]   (default: ./artifacts)
 import sys
 from pathlib import Path
 
+# run from a checkout without installing: the package lives in ../src
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from semitop.cli import _emit_json, main
 from semitop.core import semigroup_doc
 from semitop.semigroups import cyclic_group, embedding_catalog, symmetric_inverse_monoid

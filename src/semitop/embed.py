@@ -9,7 +9,7 @@ TheoremViolationError rather than producing a silently wrong map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     FinSemigroup,
@@ -31,7 +31,6 @@ from .transforms import (
     W_DOM,
     AffineParity,
     BasicOpen,
-    Compose,
     Const,
     FiniteTable,
     Identity,
@@ -39,11 +38,10 @@ from .transforms import (
     PairBlock,
     PartialPerm,
     Transformation,
-    agree_on_window,
+    _value_at,
     basic_open_member,
     compose,
     invert,
-    lazy_eval,
     lazy_extend_identity,
     lazy_extend_undefined,
     lazy_to_doc,
@@ -60,9 +58,11 @@ class RepresentationMap:
     space window (NN), the partial-bijection space (IN), or an abstract
     finite product (finite).
 
-    Lazy images are compared pointwise on ``window``; ``sample`` > 0 switches
-    the homomorphism check from all pairs to that many seeded random pairs
-    (injectivity stays exhaustive, it is hash-based).
+    ``values`` is what the checks compare: each NN or IN image's values on
+    ``window``, read as basic opens read them, or the finite images
+    themselves.  ``sample`` > 0 switches the homomorphism check from all
+    pairs to that many seeded random pairs (injectivity stays exhaustive, it
+    is hash-based).
     """
 
     source: object  # anything with .n and .mul
@@ -72,6 +72,7 @@ class RepresentationMap:
     target: object | None = None
     name: str = ""
     sample: int = 0
+    values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
@@ -82,13 +83,17 @@ class RepresentationMap:
             raise DomainError(f"{len(self.images)} images for {n} elements")
         if self.space == FINITE and self.target is None:
             raise DomainError("an abstract finite representation needs its target")
+        if self.space != FINITE and self.window is None:
+            raise DomainError("function-space images need an evaluation window")
+        values = self.images if self.space == FINITE else tuple(
+            tuple(_value_at(img, x) for x in range(self.window)) for img in self.images)
+        object.__setattr__(self, "values", values)
         seen = {}
-        for i, img in enumerate(self.images):
-            key = self._image_key(img)
-            if key in seen:
+        for i, v in enumerate(values):
+            j = seen.setdefault(v, i)
+            if j != i:
                 raise TheoremViolationError(
-                    f"not injective: elements {seen[key]} and {i} share an image")
-            seen[key] = i
+                    f"not injective: elements {j} and {i} share an image")
         if self.sample and n * n > self.sample:
             rng = random.Random(SAMPLE_SEED)
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(self.sample)]
@@ -105,25 +110,15 @@ class RepresentationMap:
             return f"sampled {self.sample} pairs (seed {SAMPLE_SEED})"
         return "exhaustive"
 
-    def _image_key(self, img):
-        if self.space == FINITE:
-            return img
-        if isinstance(img, (Transformation, PartialPerm)):
-            return (type(img).__name__, img.window, img.map)
-        if isinstance(img, LazyMap):
-            if self.window is None:
-                raise DomainError("lazy images need an evaluation window")
-            return tuple(lazy_eval(img, x) for x in range(self.window))
-        raise DomainError(f"unsupported image type {type(img).__name__}")
-
     def _composes(self, a, b) -> bool:
-        want = self.images[self.source.mul(a, b)]
-        fa, fb = self.images[a], self.images[b]
+        """(x)(fa*fb) = ((x)fa)fb at every window point x; fb is evaluated
+        afresh only where fa leaves the window."""
+        want = self.values[self.source.mul(a, b)]
         if self.space == FINITE:
-            return self.target.mul(fa, fb) == want
-        if isinstance(fa, LazyMap):
-            return agree_on_window(Compose(fa, fb), want, self.window)
-        return compose(fa, fb) == want
+            return self.target.mul(self.images[a], self.images[b]) == want
+        vb, fb, win = self.values[b], self.images[b], self.window
+        return tuple([None if v is None else vb[v] if 0 <= v < win else _value_at(fb, v)
+                      for v in self.values[a]]) == want
 
 
 def representation_doc(rep: RepresentationMap) -> dict:
@@ -216,7 +211,7 @@ def product_embed(reps) -> RepresentationMap:
     prod = FinProduct(tuple(r.source for r in reps))
     inners = [tuple(_as_lazy(img) for img in r.images) for r in reps]
     space = NN if all(r.space == NN for r in reps) else IN
-    wmax = max(r.window or 1 for r in reps)
+    wmax = max(r.window for r in reps)
     win = pair_index(len(reps) - 1, wmax - 1) + 2
     images = tuple(
         PairBlock(tuple(inners[i][p] for i, p in enumerate(prod.decode(x))))
@@ -247,7 +242,7 @@ def adjoin_embed(rep: RepresentationMap) -> tuple[RepresentationMap, Representat
         FiniteTable(((1, 1),), AffineParity(2, ((0, _as_lazy(img), 0), (1, Const(1), 1))))
         for img in rep.images
     )
-    win = max(8, 2 * (rep.window or 1) + 2)
+    win = max(8, 2 * rep.window + 2)
     with_one = RepresentationMap(
         source=adjoin_identity(s), images=primed + (Identity(),), space=NN,
         window=win, name=(rep.name or "rep") + "_adjoin1")
@@ -520,37 +515,25 @@ def semil_iso(e: PartialPerm) -> tuple[int, ...]:
 
 def separating_opens(rep: RepresentationMap) -> tuple[BasicOpen, ...]:
     """Canonical point-separating basic opens of the target: for each pair of
-    images, the single-atom constraints at the first window point where they
-    differ."""
+    images, the single-atom constraints at the first window point where
+    their values differ."""
     if rep.space == FINITE:
         raise KindError("abstract finite targets have no basic opens")
-    win = rep.window or max(getattr(i, "window", 1) for i in rep.images)
+    atoms = set()
+    for i, vi in enumerate(rep.values):
+        for vj in rep.values[i + 1:]:
+            x = next(x for x, (p, q) in enumerate(zip(vi, vj)) if p != q)
+            atoms.update(((x, vi[x]), (x, vj[x])))
 
-    def value(img, x):
-        if isinstance(img, LazyMap):
-            return lazy_eval(img, x)
-        return img.map[x]
-
-    def atom_open(img, x):
-        v = value(img, x)
+    def atom_open(x, v):
         if rep.space == NN:
             return BasicOpen(NN, ((x, v),))
         if v is None:
             return BasicOpen(IN, ((W_DOM, x),))
         return BasicOpen(IN, ((U_ATOM, x, v),))
 
-    out = set()
-    n = rep.source.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = next((x for x in range(win)
-                      if value(rep.images[i], x) != value(rep.images[j], x)), None)
-            if x is None:
-                raise TheoremViolationError(
-                    f"images {i} and {j} agree on the whole window")
-            out.add(atom_open(rep.images[i], x))
-            out.add(atom_open(rep.images[j], x))
-    return tuple(sorted(out, key=lambda b: (len(b.atoms), str(b.atoms))))
+    opens = (atom_open(x, v) for x, v in atoms)
+    return tuple(sorted(opens, key=lambda b: (len(b.atoms), str(b.atoms))))
 
 
 @dataclass(frozen=True)

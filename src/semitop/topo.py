@@ -44,24 +44,44 @@ def points_of(mask) -> tuple[int, ...]:
 
 def is_topology(n, opens) -> tuple[bool, str | None]:
     """Check a family of subset bitmasks for the finite topology axioms."""
+    why, _ = _topology_check(n, opens)
+    return why is None, why
+
+
+def _topology_check(n, opens) -> tuple[str | None, tuple[int, ...]]:
+    """The reason a family of subset bitmasks is not a topology, or None,
+    and the minimal neighborhood vector the check computed on the way.
+
+    The check is linear in the family.  A family F is a topology iff it holds
+    the empty set, the carrier, the minimal neighborhood N_x of each point
+    (the intersection of the members holding x), and o | N for every member
+    o and every distinct N.  Those unions put every union of neighborhoods in
+    F, and each member is the union of the N_x of its points, so F is
+    exactly the unions of the N_x.  That family is closed under union, and
+    under intersection: a & b is the union of N_x over its points x, since
+    N_x lies in every member holding x.  The converse is the definition.
+    """
     full = (1 << n) - 1
     opens = set(opens)
     for o in opens:
         if o < 0 or o > full:
-            return False, f"subset {o} is not within the {n}-point carrier"
+            return f"subset {o} is not within the {n}-point carrier", ()
     if 0 not in opens:
-        return False, "the empty set is missing"
+        return "the empty set is missing", ()
     if full not in opens:
-        return False, "the carrier is missing"
+        return "the carrier is missing", ()
     if len(opens) == (1 << n):
-        return True, None
-    for a in opens:
-        for b in opens:
-            if (a | b) not in opens:
-                return False, f"union of {points_of(a)} and {points_of(b)} is missing"
-            if (a & b) not in opens:
-                return False, f"intersection of {points_of(a)} and {points_of(b)} is missing"
-    return True, None
+        return None, tuple(1 << x for x in range(n))
+    nbhds = min_nbhds(n, opens)
+    for x, v in enumerate(nbhds):
+        if v not in opens:
+            return f"intersection of the opens holding {x} is missing", nbhds
+    members = sorted(opens)
+    for v in sorted(set(nbhds)):
+        for o in members:
+            if (o | v) not in opens:
+                return f"union of {points_of(o)} and {points_of(v)} is missing", nbhds
+    return None, nbhds
 
 
 def min_nbhds(n, sets) -> tuple[int, ...]:
@@ -104,10 +124,10 @@ class TopSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "opens", frozenset(self.opens))
-        ok, why = is_topology(self.n, self.opens)
-        if not ok:
+        why, nbhds = _topology_check(self.n, self.opens)
+        if why is not None:
             raise DomainError(f"not a topology: {why}")
-        object.__setattr__(self, "nbhds", min_nbhds(self.n, self.opens))
+        object.__setattr__(self, "nbhds", nbhds)
 
     @staticmethod
     def discrete(n) -> "TopSpec":
@@ -460,18 +480,6 @@ class TruncatedPresentation:
     def is_open(self, mask) -> bool:
         return holds_nbhds(self.nbhds, mask)
 
-    def basis_masks(self) -> tuple[int, ...]:
-        """Singletons of isolated points plus every admissible neighborhood,
-        ascending."""
-        out = set()
-        limits = set(self.limit_points)
-        for x in range(self.base.n):
-            if x not in limits:
-                out.add(1 << x)
-        for _, fam in self.families:
-            out.update(fam)
-        return tuple(sorted(out))
-
     def to_top_spec(self) -> TopSpec:
         """Materialize the presented topology: a set is open when every limit
         point inside it keeps a whole admissible neighborhood inside it, so
@@ -509,7 +517,10 @@ def _carrier_and_nbhds(obj):
     raise KindError(f"expected TopSemigroup or TruncatedPresentation, got {type(obj).__name__}")
 
 
-def congruence_basis_check(obj, candidate_bound: int = 10) -> BasisReport:
+CANDIDATE_BOUND = 10  # carriers up to this size get the per-candidate report
+
+
+def congruence_basis_check(obj) -> BasisReport:
     """Does some right congruence with all-open classes trap every point
     inside each of its neighborhoods?
 
@@ -535,11 +546,11 @@ def congruence_basis_check(obj, candidate_bound: int = 10) -> BasisReport:
         if escaped:
             failures.append((x, points_of(escaped)[0], nb[x]))
     candidates = None
-    if failures and s.n <= candidate_bound:
+    if failures and s.n <= CANDIDATE_BOUND:
         x0, _, nbx0 = failures[0]
         rows = []
         try:
-            lattice = enumerate_congruences(s, RIGHT, bound=candidate_bound, limit=512)
+            lattice = enumerate_congruences(s, RIGHT, bound=CANDIDATE_BOUND, limit=512)
         except SizeError:
             lattice = []
         for rho in lattice:
@@ -585,6 +596,9 @@ def presentation_from_doc(doc) -> TruncatedPresentation:
     for key in ("window", "guard", "semigroup", "limit_points", "neighborhoods", "core"):
         if key not in doc:
             raise LoadError(f"presentation document is missing '{key}'")
+    strict = doc.get("strict_tails", True)
+    if not isinstance(strict, bool):
+        raise LoadError(f"'strict_tails' must be true or false, not {strict!r}")
     base = parse_semigroup(doc["semigroup"])
     n = base.n
     try:
@@ -604,7 +618,7 @@ def presentation_from_doc(doc) -> TruncatedPresentation:
             families=tuple(fams),
             core=mask_of(_index(z, n) for z in doc["core"]),
             name=str(doc.get("name", "")),
-            strict=bool(doc.get("strict_tails", True)),
+            strict=strict,
         )
     except DomainError as e:
         raise LoadError(str(e)) from e

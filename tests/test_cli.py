@@ -355,6 +355,8 @@ def exB4_presentation(key, value):
         "semigroup": semigroup_doc(chain_semilattice(4)), "limit_points": [0, 1],
         "neighborhoods": {"0": [[0, 1]], "1": [[1, 2, 3]]}, "core": [0, 1, 2, 3],
         "strict_tails": False}),
+    ("check", "cong-basis", exB4_presentation("strict_tails", "no")),
+    ("check", "cong-basis", exB4_presentation("strict_tails", 0)),
 ], ids=["embcl-window-str", "embcl-window-missing", "embcl-window-float",
         "embcl-window-bool", "restrict-window-str",
         "restrict-window-missing", "product-no-factors", "restrict-no-maps",
@@ -363,7 +365,8 @@ def exB4_presentation(key, value):
         "presentation-point-negative", "presentation-limit-str", "presentation-window-float",
         "semigroup-identity-bool", "assoc-bool-entries", "semigroup-inverse-int",
         "semigroup-inverse-bool", "vp-congruence-int", "vp-congruence-str",
-        "vp-congruence-float", "u-topology-n-huge", "presentation-nbhd-not-open"])
+        "vp-congruence-float", "u-topology-n-huge", "presentation-nbhd-not-open",
+        "presentation-strict-str", "presentation-strict-int"])
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, doc):
     assert main([command, kind, write(tmp_path, "bad.json", doc)]) == 1
     captured = capsys.readouterr()

@@ -3,9 +3,9 @@
 A finite space is determined by the smallest open set around each point, so
 `TopSpec` and `TruncatedPresentation` keep that vector (`nbhds`) and every
 topological check reads it.  Each test here restates the older, literal rule
-(open-family scans, the pairwise intersection/union fixpoint, the per-family
-openness rule, the 2^n subset scan, the four-way embedding audit) and
-requires the same answer.
+(open-family scans, the pairwise intersection/union fixpoint and axioms, the
+per-family openness rule, the 2^n subset scan, the four-way embedding audit)
+and requires the same answer.
 """
 
 import pytest
@@ -29,6 +29,7 @@ from semitop.topo import (
     TopSpec,
     TruncatedPresentation,
     bundled_top_semigroups,
+    is_topology,
     points_of,
 )
 from semitop.transforms import basic_open_member
@@ -91,6 +92,32 @@ def test_nbhds_match_the_open_family_scan_on_drawn_topologies(case):
 def test_generated_matches_the_pairwise_fixpoint(case):
     n, subbasis = case
     assert TopSpec.generated(n, subbasis).opens == generated_by_fixpoint(n, subbasis)
+
+
+def is_topology_pairwise(n, opens):
+    """The axioms read literally: subsets of the carrier, the empty set, the
+    carrier, and the union and intersection of every pair of members."""
+    full = (1 << n) - 1
+    opens = set(opens)
+    return (all(0 <= o <= full for o in opens) and {0, full} <= opens
+            and all(a | b in opens and a & b in opens for a in opens for b in opens))
+
+
+def test_is_topology_matches_the_pairwise_axioms_on_every_small_family():
+    for n in range(5):
+        for bits in range(1 << (1 << n)):
+            fam = [m for m in range(1 << n) if bits >> m & 1]
+            assert is_topology(n, fam)[0] == is_topology_pairwise(n, fam), (n, fam)
+
+
+@given(subbases, st.integers(0, (1 << 6) - 1))
+def test_is_topology_matches_the_pairwise_axioms_on_drawn_families(case, toggled):
+    n, subbasis = case
+    # a topology with one subset added or removed, which may break an axiom
+    opens = generated_by_fixpoint(n, subbasis) ^ {toggled & ((1 << n) - 1)}
+    ok, why = is_topology(n, opens)
+    assert ok == is_topology_pairwise(n, opens)
+    assert ok or any(w in why for w in ("empty", "carrier", "union", "intersection"))
 
 
 @pytest.mark.parametrize("instance_id", SMALL_CATALOG)

@@ -1,0 +1,156 @@
+"""RepresentationMap's checks on value tuples against the rules they replaced.
+
+A representation into NN or IN evaluates each image once on its window and
+checks injectivity, the homomorphism law (x)(fa*fb) = ((x)fa)fb and the
+separating opens on those values.  The older rules, restated here, built
+the composite instead: `compose(fa, fb) == want` for window maps and
+`agree_on_window(Compose(fa, fb), want, window)` for lazy maps, with
+injectivity keyed on a window map itself or on a lazy map's window values.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semitop.embed import RepresentationMap, separating_opens
+from semitop.errors import TheoremViolationError
+from semitop.transforms import (
+    IN,
+    NN,
+    U_ATOM,
+    W_DOM,
+    BasicOpen,
+    Compose,
+    FiniteTable,
+    Identity,
+    LazyMap,
+    PartialPerm,
+    Transformation,
+    agree_on_window,
+    compose,
+)
+
+CAP = 8  # elements per drawn image set; past it the table is left open
+
+
+class Table:
+    """A bare multiplication table; the checks need only .n and .mul."""
+
+    def __init__(self, rows):
+        self.rows, self.n = rows, len(rows)
+
+    def mul(self, a, b):
+        return self.rows[a][b]
+
+
+def composite_rule(source, images, window):
+    """The older checks: None when the map passes, else the message."""
+    seen = {}
+    for i, img in enumerate(images):
+        if isinstance(img, LazyMap):
+            key = tuple(img.eval(x) for x in range(window))
+        else:
+            key = (type(img).__name__, img.window, img.map)
+        if key in seen:
+            return f"not injective: elements {seen[key]} and {i} share an image"
+        seen[key] = i
+    for a in range(source.n):
+        for b in range(source.n):
+            fa, fb, want = images[a], images[b], images[source.mul(a, b)]
+            if isinstance(fa, LazyMap):
+                ok = agree_on_window(Compose(fa, fb), want, window)
+            else:
+                ok = compose(fa, fb) == want
+            if not ok:
+                return f"homomorphism fails at ({a}, {b})"
+    return None
+
+
+def separating_opens_by_evaluation(rep):
+    """The single-atom opens at the first window point where each pair of
+    images differs, every image evaluated afresh."""
+    def value(img, x):
+        return img.eval(x) if isinstance(img, LazyMap) else img.map[x]
+
+    def atom_open(img, x):
+        v = value(img, x)
+        if rep.space == NN:
+            return BasicOpen(NN, ((x, v),))
+        return BasicOpen(IN, ((W_DOM, x),) if v is None else ((U_ATOM, x, v),))
+
+    out = set()
+    for i, fi in enumerate(rep.images):
+        for fj in rep.images[i + 1:]:
+            x = next(x for x in range(rep.window) if value(fi, x) != value(fj, x))
+            out.update((atom_open(fi, x), atom_open(fj, x)))
+    return tuple(sorted(out, key=lambda b: (len(b.atoms), str(b.atoms))))
+
+
+def _then(f, g):
+    return tuple(None if v is None else g[v] for v in f)
+
+
+@st.composite
+def value_maps(draw, kind, span):
+    if kind == "partial":
+        perm = draw(st.permutations(range(span)))
+        holes = draw(st.lists(st.booleans(), min_size=span, max_size=span))
+        return tuple(None if h else v for v, h in zip(perm, holes))
+    point = st.integers(0, span - 1)
+    value = point if kind == "transformation" else st.none() | point
+    return tuple(draw(st.lists(value, min_size=span, max_size=span)))
+
+
+@st.composite
+def representations(draw):
+    """A table over the semigroup two drawn maps generate (cut at CAP
+    elements), sometimes with one entry redrawn.  Lazy maps act on a span
+    past the window, fixing every point beyond it, so their values on the
+    window may leave it."""
+    kind = draw(st.sampled_from(("transformation", "partial", "lazy")))
+    window = draw(st.integers(1, 3))
+    span = window + (draw(st.integers(0, 2)) if kind == "lazy" else 0)
+    elems = list(dict.fromkeys(draw(st.lists(value_maps(kind, span), min_size=1, max_size=2))))
+    for f in elems:  # grows while it is read
+        for g in list(elems):
+            for h in (_then(f, g), _then(g, f)):
+                if h not in elems and len(elems) < CAP:
+                    elems.append(h)
+    n = len(elems)
+    index = st.integers(0, n - 1)
+    rows = [[elems.index(h) if h in elems else draw(index)
+             for h in (_then(f, g) for g in elems)] for f in elems]
+    if draw(st.booleans()):
+        rows[draw(index)][draw(index)] = draw(index)
+    if kind == "transformation":
+        images, space = tuple(Transformation(span, e) for e in elems), NN
+    elif kind == "partial":
+        images, space = tuple(PartialPerm(span, e) for e in elems), IN
+    else:
+        images = tuple(FiniteTable(tuple(enumerate(e)), Identity()) for e in elems)
+        space = draw(st.sampled_from((NN, IN)))
+    past = any(v is not None and v >= window for e in elems for v in e[:window])
+    return kind, past, Table(rows), images, space, window
+
+
+def test_value_law_matches_the_composite_rule():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(representations())
+    def check(case):
+        kind, past, source, images, space, window = case
+        want = composite_rule(source, images, window)
+        try:
+            rep = RepresentationMap(source=source, images=images, space=space, window=window)
+        except TheoremViolationError as e:
+            got = str(e)
+        else:
+            got = None
+            assert separating_opens(rep) == separating_opens_by_evaluation(rep)
+        assert got == want
+        seen.add((kind, want is None, past))
+
+    check()
+    for kind in ("transformation", "partial", "lazy"):
+        assert (kind, True, False) in seen and (kind, False, False) in seen, kind
+    assert ("lazy", True, True) in seen and ("lazy", False, True) in seen
