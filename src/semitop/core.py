@@ -25,7 +25,11 @@ TWO_SIDED = "two-sided"
 
 
 def _greedy_generators(rows):
-    """Scan 0..n-1 and make each element not yet generated a generator.
+    """Scan the elements by decreasing size of their principal right ideal
+    aS (the distinct entries of a's row), ties by index, and make each
+    element not yet generated a generator.  Elements high in the R-order
+    come first, so they generate much of what follows: I4 needs 5
+    generators in this order and 84 in index order.
 
     The generated set is closed under the product on both sides, i.e. it is
     the magma closure: the table is not yet known to be associative, so the
@@ -36,7 +40,7 @@ def _greedy_generators(rows):
     seen = [False] * len(rows)
     closed = []
     gens = []
-    for x in range(len(rows)):
+    for x in sorted(range(len(rows)), key=lambda a: -len(set(rows[a]))):
         if seen[x]:
             continue
         gens.append(x)

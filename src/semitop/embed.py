@@ -8,12 +8,14 @@ TheoremViolationError rather than producing a silently wrong map.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from .core import (
     FinSemigroup,
     InverseStructure,
+    _greedy_generators,
     adjoin_identity,
     adjoin_zero,
     is_clifford,
@@ -22,7 +24,7 @@ from .core import (
     subsemigroup,
 )
 from .errors import DomainError, EvaluationError, KindError, TheoremViolationError
-from .semigroups import FinProduct, symmetric_inverse_monoid
+from .semigroups import FinProduct, composition_table, symmetric_inverse_monoid
 from .topo import TopSemigroup, TopSpec, TruncatedPresentation, holds_nbhds, min_nbhds
 from .transforms import (
     IN,
@@ -58,14 +60,23 @@ class RepresentationMap:
     space window (NN), the partial-bijection space (IN), or an abstract
     finite product (finite).
 
+    The source, and a finite target, must be a FinSemigroup or a
+    FinProduct: the homomorphism check relies on their associativity.
     ``values`` is what the checks compare: each NN or IN image's values on
     ``window``, read as basic opens read them, or the finite images
-    themselves.  ``sample`` > 0 switches the homomorphism check from all
-    pairs to that many seeded random pairs (injectivity stays exhaustive, it
-    is hash-based).
+    themselves.
+
+    When every value stays in the window (or is a hole, None), the value
+    tuples compose as self-maps of a finite set, so the law on the pairs
+    (a, g), g in a generating set of the source, gives it on all pairs by
+    induction on the length of b as a product of generators; a finite
+    target is a semigroup, so the same holds there.  Otherwise, or when
+    that check fails, all pairs are scanned in order and the least failing
+    one is reported.  ``sample`` > 0 switches the check to that many seeded
+    random pairs (injectivity stays exhaustive, it is hash-based).
     """
 
-    source: object  # anything with .n and .mul
+    source: FinSemigroup | FinProduct
     images: tuple
     space: str
     window: int | None = None
@@ -76,6 +87,9 @@ class RepresentationMap:
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
+        if not isinstance(self.source, (FinSemigroup, FinProduct)):
+            raise KindError(f"a representation needs a semigroup source, not "
+                            f"{type(self.source).__name__}")
         if self.space not in (NN, IN, FINITE):
             raise KindError(f"unknown target space {self.space!r}")
         n = self.source.n
@@ -83,6 +97,9 @@ class RepresentationMap:
             raise DomainError(f"{len(self.images)} images for {n} elements")
         if self.space == FINITE and self.target is None:
             raise DomainError("an abstract finite representation needs its target")
+        if self.space == FINITE and not isinstance(self.target, (FinSemigroup, FinProduct)):
+            raise KindError(f"a finite target must be a semigroup, not "
+                            f"{type(self.target).__name__}")
         if self.space != FINITE and self.window is None:
             raise DomainError("function-space images need an evaluation window")
         values = self.images if self.space == FINITE else tuple(
@@ -97,8 +114,17 @@ class RepresentationMap:
         if self.sample and n * n > self.sample:
             rng = random.Random(SAMPLE_SEED)
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(self.sample)]
-        else:
-            pairs = [(a, b) for a in range(n) for b in range(n)]
+        else:  # the generator pairs decide; the ordered scan names a witness
+            pairs = itertools.product(range(n), repeat=2)
+            win = self.window
+            if self.space == FINITE or all(v is None or 0 <= v < win
+                                           for vals in values for v in vals):
+                src = self.source
+                rows = src.table if isinstance(src, FinSemigroup) else [
+                    [src.mul(a, b) for b in range(n)] for a in range(n)]
+                gens = _greedy_generators(rows)
+                if all(self._composes(a, g) for a in range(n) for g in gens):
+                    pairs = ()
         for a, b in pairs:
             if not self._composes(a, b):
                 raise TheoremViolationError(f"homomorphism fails at ({a}, {b})")
@@ -285,15 +311,7 @@ def transformation_group(maps, name=""):
         if m.map in index:
             raise DomainError(f"element {i} repeats element {index[m.map]}")
         index[m.map] = i
-    table = []
-    for f in maps:
-        row = []
-        for g in maps:
-            h = compose(f, g).map
-            if h not in index:
-                raise DomainError("not closed under composition")
-            row.append(index[h])
-        table.append(tuple(row))
+    table = composition_table(maps)
     units = [e for e in range(len(maps))
              if all(table[e][x] == x and table[x][e] == x for x in range(len(maps)))]
     if len(units) != 1:
@@ -419,8 +437,6 @@ def bundled_group_fixtures():
         Transformation(5, (1, 2, 0, 1, 1)),
         Transformation(5, (2, 0, 1, 2, 2)),
     )
-    import itertools
-
     s3 = tuple(
         Transformation(6, p + p) for p in itertools.permutations(range(3))
     )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .core import FinSemigroup, adjoin_identity, adjoin_zero
 from .errors import DomainError
-from .transforms import PartialPerm, Transformation, compose
+from .transforms import PartialPerm, Transformation
 
 
 def trivial_monoid() -> FinSemigroup:
@@ -82,11 +82,27 @@ def signed_antichain_with_zero(w) -> FinSemigroup:
     return FinSemigroup(table, names=names, name=f"signed_antichain{w}")
 
 
+def composition_table(maps):
+    """Indices of the left-to-right composites of window maps, read off
+    their value tuples: x goes to g[f[x]], and a hole (None) stays a hole.
+    Raises DomainError when a composite is not among the maps."""
+    index = {m.map: i for i, m in enumerate(maps)}
+    padded = [m.map + (None,) for m in maps]  # position -1 reads the hole
+    table = []
+    for f in maps:
+        at = [-1 if v is None else v for v in f.map]
+        try:
+            table.append(tuple(index[tuple(map(g.__getitem__, at))] for g in padded))
+        except KeyError:
+            raise DomainError("not closed under composition") from None
+    return tuple(table)
+
+
 def full_transformation_monoid(n):
     """All self-maps of an n-point set; returns (semigroup, the maps)."""
     maps = [Transformation(n, m) for m in itertools.product(range(n), repeat=n)]
     index = {t.map: i for i, t in enumerate(maps)}
-    table = tuple(tuple(index[compose(f, g).map] for g in maps) for f in maps)
+    table = composition_table(maps)
     names = tuple("".join(map(str, t.map)) for t in maps)
     ident = index[tuple(range(n))]
     return FinSemigroup(table, names=names, name=f"T{n}", identity=ident), tuple(maps)
@@ -102,7 +118,7 @@ def symmetric_inverse_monoid(n):
             elems.append(PartialPerm(n, vals))
     elems.sort(key=lambda p: tuple(-1 if v is None else v for v in p.map))
     index = {p.map: i for i, p in enumerate(elems)}
-    table = tuple(tuple(index[compose(f, g).map] for g in elems) for f in elems)
+    table = composition_table(elems)
     names = tuple(
         "{" + ",".join(f"{x}>{v}" for x, v in p.graph()) + "}" for p in elems
     )

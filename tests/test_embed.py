@@ -1,6 +1,7 @@
 """Regular representations and their topological audits."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -288,6 +289,12 @@ def test_representation_map_rejections():
         RepresentationMap(source=z2, images=(0, 1), space="XX")
     with pytest.raises(DomainError):
         RepresentationMap(source=z2, images=(0, 1), space=FINITE)
+    with pytest.raises(KindError):  # the law is checked on generator pairs only
+        RepresentationMap(source=SimpleNamespace(n=2, mul=z2.mul), images=(0, 1),
+                          space=FINITE, target=z2)
+    with pytest.raises(KindError):  # a finite target must compose associatively
+        RepresentationMap(source=z2, images=(0, 1), space=FINITE,
+                          target=SimpleNamespace(n=2, mul=z2.mul))
 
 
 def test_representation_doc_shape():

@@ -1,9 +1,10 @@
 """Each bulk fast path against the slow definition it replaces.
 
 The closure engine, the union-find, the stability check in ``Congruence``
-and the Brandt table builder all gather over whole rows at C speed.  Every
-test here restates the element-by-element definition and requires the same
-answer, chain order included where the certificate depends on it.
+and the Brandt table builder all gather over whole rows at C speed; the
+transformation and partial-bijection tables compose value tuples directly.
+Every test here restates the element-by-element definition and requires
+the same answer, chain order included where the certificate depends on it.
 """
 
 from collections import deque
@@ -22,11 +23,14 @@ from semitop.semigroups import (
     chain_semilattice,
     cyclic_group,
     embedding_catalog,
+    full_transformation_monoid,
     left_zero,
     right_zero,
+    symmetric_inverse_monoid,
     trivial_monoid,
 )
 from semitop.topo import points_of
+from semitop.transforms import compose
 
 CATALOG_IDS = ["exB", "odd_chain", "right_simple_zero:Z2", "right_simple_zero:R2",
                "right_simple_zero:S3", "brandt", "luke"]
@@ -151,3 +155,13 @@ def test_union_find_matches_the_naive_partition(case):
     for a in range(n):
         for b in range(n):
             assert (uf.find(a) == uf.find(b)) == (b in block[a])
+
+
+@pytest.mark.parametrize("build", [full_transformation_monoid, symmetric_inverse_monoid])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_composition_table_matches_compose(build, n):
+    """The value-tuple table rule against `compose`, which builds and
+    validates each composite map."""
+    s, maps = build(n)
+    index = {m: i for i, m in enumerate(maps)}
+    assert s.table == tuple(tuple(index[compose(f, g)] for g in maps) for f in maps)

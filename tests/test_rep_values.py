@@ -2,8 +2,10 @@
 
 A representation into NN or IN evaluates each image once on its window and
 checks injectivity, the homomorphism law (x)(fa*fb) = ((x)fa)fb and the
-separating opens on those values.  The older rules, restated here, built
-the composite instead: `compose(fa, fb) == want` for window maps and
+separating opens on those values.  When the values stay in the window the
+law is checked on the pairs (a, g) with g in a generating set of the
+source only.  The older rules, restated here, built the composite for
+every pair instead: `compose(fa, fb) == want` for window maps and
 `agree_on_window(Compose(fa, fb), want, window)` for lazy maps, with
 injectivity keyed on a window map itself or on a lazy map's window values.
 """
@@ -11,8 +13,10 @@ injectivity keyed on a window map itself or on a lazy map's window values.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitop.embed import RepresentationMap, separating_opens
+from semitop.core import FinSemigroup, _greedy_generators
+from semitop.embed import RepresentationMap, cayley_right_regular, separating_opens
 from semitop.errors import TheoremViolationError
+from semitop.semigroups import symmetric_group, symmetric_inverse_monoid
 from semitop.transforms import (
     IN,
     NN,
@@ -29,17 +33,7 @@ from semitop.transforms import (
     compose,
 )
 
-CAP = 8  # elements per drawn image set; past it the table is left open
-
-
-class Table:
-    """A bare multiplication table; the checks need only .n and .mul."""
-
-    def __init__(self, rows):
-        self.rows, self.n = rows, len(rows)
-
-    def mul(self, a, b):
-        return self.rows[a][b]
+CAP = 12  # elements per drawn source; one map on five points generates at most 6
 
 
 def composite_rule(source, images, window):
@@ -100,27 +94,35 @@ def value_maps(draw, kind, span):
     return tuple(draw(st.lists(value, min_size=span, max_size=span)))
 
 
-@st.composite
-def representations(draw):
-    """A table over the semigroup two drawn maps generate (cut at CAP
-    elements), sometimes with one entry redrawn.  Lazy maps act on a span
-    past the window, fixing every point beyond it, so their values on the
-    window may leave it."""
-    kind = draw(st.sampled_from(("transformation", "partial", "lazy")))
-    window = draw(st.integers(1, 3))
-    span = window + (draw(st.integers(0, 2)) if kind == "lazy" else 0)
-    elems = list(dict.fromkeys(draw(st.lists(value_maps(kind, span), min_size=1, max_size=2))))
+def closure(gens):
+    """The semigroup the value maps generate under _then."""
+    elems = list(dict.fromkeys(gens))
     for f in elems:  # grows while it is read
         for g in list(elems):
             for h in (_then(f, g), _then(g, f)):
-                if h not in elems and len(elems) < CAP:
+                if h not in elems:
                     elems.append(h)
-    n = len(elems)
-    index = st.integers(0, n - 1)
-    rows = [[elems.index(h) if h in elems else draw(index)
-             for h in (_then(f, g) for g in elems)] for f in elems]
+    return elems
+
+
+@st.composite
+def representations(draw):
+    """The semigroup two drawn maps generate (the first alone when the two
+    generate more than CAP elements), represented by its own maps, with one
+    image's values sometimes redrawn.  Lazy maps act on a span past the
+    window, fixing every point beyond it, so their values on the window may
+    leave it."""
+    kind = draw(st.sampled_from(("transformation", "partial", "lazy")))
+    window = draw(st.integers(1, 3))
+    span = window + (draw(st.integers(0, 2)) if kind == "lazy" else 0)
+    drawn = draw(st.lists(value_maps(kind, span), min_size=1, max_size=2))
+    elems = closure(drawn)
+    if len(elems) > CAP:
+        elems = closure(drawn[:1])
+    source = FinSemigroup(tuple(tuple(elems.index(_then(f, g)) for g in elems)
+                                for f in elems))
     if draw(st.booleans()):
-        rows[draw(index)][draw(index)] = draw(index)
+        elems[draw(st.integers(0, len(elems) - 1))] = draw(value_maps(kind, span))
     if kind == "transformation":
         images, space = tuple(Transformation(span, e) for e in elems), NN
     elif kind == "partial":
@@ -129,7 +131,7 @@ def representations(draw):
         images = tuple(FiniteTable(tuple(enumerate(e)), Identity()) for e in elems)
         space = draw(st.sampled_from((NN, IN)))
     past = any(v is not None and v >= window for e in elems for v in e[:window])
-    return kind, past, Table(rows), images, space, window
+    return kind, past, source, images, space, window
 
 
 def test_value_law_matches_the_composite_rule():
@@ -154,3 +156,30 @@ def test_value_law_matches_the_composite_rule():
     for kind in ("transformation", "partial", "lazy"):
         assert (kind, True, False) in seen and (kind, False, False) in seen, kind
     assert ("lazy", True, True) in seen and ("lazy", False, True) in seen
+
+
+def count_composes(monkeypatch):
+    calls = []
+    real = RepresentationMap._composes
+    monkeypatch.setattr(RepresentationMap, "_composes",
+                        lambda self, a, b: calls.append((a, b)) or real(self, a, b))
+    return calls
+
+
+def test_window_closed_values_check_the_generator_pairs_only(monkeypatch):
+    i3, _ = symmetric_inverse_monoid(3)
+    gens = _greedy_generators(i3.table)
+    calls = count_composes(monkeypatch)
+    cayley_right_regular(i3)
+    assert len(calls) == i3.n * len(gens) == 34 * 4
+    assert set(calls) == {(a, g) for a in range(i3.n) for g in gens}
+
+
+def test_values_past_the_window_check_every_pair(monkeypatch):
+    """S3 permuting three points, read on a window of two: values reach 2."""
+    s3 = symmetric_group(3)
+    perms = [tuple(int(c) for c in name) for name in s3.names]
+    images = tuple(FiniteTable(tuple(enumerate(p)), Identity()) for p in perms)
+    calls = count_composes(monkeypatch)
+    RepresentationMap(source=s3, images=images, space=NN, window=2)
+    assert len(calls) == s3.n ** 2
