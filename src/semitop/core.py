@@ -277,13 +277,10 @@ class Congruence:
         c = self.classes
         # comparing every member against its block representative covers all
         # same-class pairs by transitivity and keeps validation quadratic
-        blocks = [[] for _ in range(max(c) + 1)]
-        for x, cx in enumerate(c):
-            blocks[cx].append(x)
         sides = [(self.base.table, "not right-stable: ({rep},{x}) * {s}")]
         if self.kind == TWO_SIDED:
             sides.append((tuple(zip(*self.base.table)), "not left-stable: {s} * ({rep},{x})"))
-        for block in blocks:
+        for block in self.blocks():
             rep = block[0]
             for rows, message in sides:
                 want = itemgetter(*rows[rep])(c)
@@ -386,69 +383,76 @@ def congruence_closure(s: FinSemigroup, seeds, kind=RIGHT) -> Congruence:
     return Congruence(s, kind, _close(s, seeds, kind)[0])
 
 
-def congruence_meet(r1: Congruence, r2: Congruence) -> Congruence:
-    """Intersection of two congruences over the same base and kind."""
+def _require_same_lattice(r1: Congruence, r2: Congruence):
     if r1.base is not r2.base and r1.base != r2.base:
         raise DomainError("congruences live on different semigroups")
     if r1.kind != r2.kind:
         raise KindError(f"kind mismatch: {r1.kind} vs {r2.kind}")
+
+
+def congruence_meet(r1: Congruence, r2: Congruence) -> Congruence:
+    """Intersection of two congruences over the same base and kind."""
+    _require_same_lattice(r1, r2)
     combo = [(r1.classes[x], r2.classes[x]) for x in range(r1.base.n)]
     return Congruence(r1.base, r1.kind, canonical_classes(combo))
+
+
+def _join(u, v):
+    """Canonical class vector of the join of two partitions given as
+    canonical class vectors: one union-find pass over the classes of u links
+    the u-classes of the points that share a class of v."""
+    uf = _UnionFind(len(u))
+    first = {}
+    for cu, cv in zip(u, v):
+        uf.union(first.setdefault(cv, cu), cu)
+    label = uf.label
+    return canonical_classes([label[cu] for cu in u])
 
 
 def congruence_join(r1: Congruence, r2: Congruence) -> Congruence:
     """Join: transitive closure of the union of the two partitions.  The join
     of two congruences of the same kind is again one."""
-    if r1.kind != r2.kind:
-        raise KindError(f"kind mismatch: {r1.kind} vs {r2.kind}")
-    n = r1.base.n
-    uf = _UnionFind(n)
-    for rho in (r1, r2):
-        rep = {}
-        for x in range(n):
-            c = rho.classes[x]
-            if c in rep:
-                uf.union(rep[c], x)
-            else:
-                rep[c] = x
-    return Congruence(r1.base, r1.kind, canonical_classes(uf.label))
+    _require_same_lattice(r1, r2)
+    return Congruence(r1.base, r1.kind, _join(r1.classes, r2.classes))
 
 
-def enumerate_congruences(s: FinSemigroup, kind=RIGHT, bound=10, limit=20000) -> list[Congruence]:
+ENUMERATION_BOUND = 10  # largest carrier whose lattice is enumerated
+ENUMERATION_LIMIT = 512  # largest lattice returned
+
+
+def enumerate_congruences(s: FinSemigroup, kind=RIGHT) -> list[Congruence]:
     """All congruences of the given kind, in lexicographic class-vector order.
 
-    Breadth-first search from the diagonal by principal extensions: closing
-    rho together with one extra pair steps to a cover-or-above element, and
-    every congruence is reachable this way.  Lattices larger than ``limit``
-    abort with SizeError; right-zero blocks make every partition stable, so
-    the count can reach Bell-number scale even under the carrier bound.
+    The lattice is the join-closure of the principal congruences Cg(a, b):
+    every congruence is the join of the principal congruences of its pairs,
+    and the join of two congruences of one kind is again one.  So one
+    closure per pair gives the principal congruences, and a breadth-first
+    search from the diagonal, joining each member with each principal
+    congruence, reaches every join of k of them by depth k and nothing that
+    is not a congruence.  Carriers above
+    ENUMERATION_BOUND points and lattices above ENUMERATION_LIMIT members
+    raise SizeError; right-zero blocks make every partition stable, so the
+    count can reach Bell-number scale even under the carrier bound.
     """
-    if s.n > bound:
-        raise SizeError(f"carrier size {s.n} exceeds enumeration bound {bound}")
+    if s.n > ENUMERATION_BOUND:
+        raise SizeError(f"carrier size {s.n} exceeds enumeration bound {ENUMERATION_BOUND}")
     start = diagonal(s, kind)
+    principal = sorted({_close(s, [(a, b)], kind)[0]
+                        for a in range(s.n) for b in range(a + 1, s.n)})
     found = {start.classes: start}
     frontier = [start.classes]
     while frontier:
         fresh = []
         for vec in frontier:
-            merges = [(vec.index(c), x) for x, c in enumerate(vec) if vec.index(c) < x]
-            for a in range(s.n):
-                for b in range(a + 1, s.n):
-                    if vec[a] == vec[b]:
-                        continue
-                    tau = _close(s, merges + [(a, b)], kind)[0]
-                    if tau not in found:
-                        if len(found) >= limit:
-                            raise SizeError(f"congruence lattice exceeded {limit} members")
-                        found[tau] = Congruence(s, kind, tau)
-                        fresh.append(tau)
+            for p in principal:
+                tau = _join(vec, p)
+                if tau not in found:
+                    if len(found) >= ENUMERATION_LIMIT:
+                        raise SizeError(f"congruence lattice exceeded {ENUMERATION_LIMIT} members")
+                    found[tau] = Congruence(s, kind, tau)
+                    fresh.append(tau)
         frontier = fresh
     return [found[k] for k in sorted(found)]
-
-
-def as_two_sided(rho: Congruence) -> Congruence:
-    """Re-kind a right congruence as two-sided; validates left stability."""
-    return Congruence(rho.base, TWO_SIDED, rho.classes)
 
 
 def quotient(s: FinSemigroup, rho: Congruence):
@@ -458,10 +462,7 @@ def quotient(s: FinSemigroup, rho: Congruence):
     if rho.base != s:
         raise DomainError("congruence lives on a different semigroup")
     k = rho.num_classes
-    reps = [None] * k
-    for x in range(s.n):
-        if reps[rho.classes[x]] is None:
-            reps[rho.classes[x]] = x
+    reps = [block[0] for block in rho.blocks()]
     table = tuple(
         tuple(rho.classes[s.table[reps[a]][reps[b]]] for b in range(k)) for a in range(k)
     )
@@ -479,11 +480,10 @@ def is_vagner_preston(inv: InverseStructure, rho: Congruence) -> bool:
     t = m.table
     c = rho.classes
     one = c[m.identity]
-    for x in range(m.n):
-        cls = [y for y in range(m.n) if c[y] == c[x]]
-        if all(c[t[y][inv.inv[y]]] == one for y in cls):
+    for block in rho.blocks():
+        if all(c[t[y][inv.inv[y]]] == one for y in block):
             continue
-        if all(c[t[x][y]] == c[x] for y in range(m.n)):
+        if all(c[t[x][y]] == c[x] for x in block for y in range(m.n)):
             continue
         return False
     return True
@@ -528,7 +528,7 @@ def classify_vp_quotient(inv: InverseStructure, rho: Congruence) -> VPClassifica
         raise DomainError("classification needs a commutative monoid")
     if not is_vagner_preston(inv, rho):
         raise DomainError("congruence is not Vagner-Preston")
-    q, proj = quotient(m, as_two_sided(rho))
+    q, proj = quotient(m, Congruence(m, TWO_SIDED, rho.classes))
     zeros = [z for z in range(q.n) if all(q.table[z][x] == z and q.table[x][z] == z for x in range(q.n))]
     if zeros and q.n > 1:
         z = zeros[0]

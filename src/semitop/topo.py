@@ -506,7 +506,9 @@ class BasisReport:
     ok: bool
     mu: Congruence
     failures: tuple  # (x, witness element in [x] outside N_x, N_x mask)
-    candidates: tuple | None  # per-congruence reasons on small carriers
+    # per-congruence reasons on carriers of at most 10 points with at most 512
+    # right congruences (the lattice is built by joins of principal congruences)
+    candidates: tuple | None
 
 
 def _carrier_and_nbhds(obj):
@@ -515,9 +517,6 @@ def _carrier_and_nbhds(obj):
     if isinstance(obj, TruncatedPresentation):
         return obj.base, obj.nbhds
     raise KindError(f"expected TopSemigroup or TruncatedPresentation, got {type(obj).__name__}")
-
-
-CANDIDATE_BOUND = 10  # carriers up to this size get the per-candidate report
 
 
 def congruence_basis_check(obj) -> BasisReport:
@@ -539,29 +538,29 @@ def congruence_basis_check(obj) -> BasisReport:
             if z != y:
                 seeds.append((y, z))
     mu = congruence_closure(s, seeds, RIGHT)
+    masks = [mask_of(block) for block in mu.blocks()]
     failures = []
     for x in range(s.n):
-        cls = mask_of(i for i in range(s.n) if mu.same(x, i))
-        escaped = cls & ~nb[x]
+        escaped = masks[mu.classes[x]] & ~nb[x]
         if escaped:
             failures.append((x, points_of(escaped)[0], nb[x]))
     candidates = None
-    if failures and s.n <= CANDIDATE_BOUND:
+    if failures:
         x0, _, nbx0 = failures[0]
         rows = []
         try:
-            lattice = enumerate_congruences(s, RIGHT, bound=CANDIDATE_BOUND, limit=512)
+            lattice = enumerate_congruences(s, RIGHT)
         except SizeError:
             lattice = []
         for rho in lattice:
+            masks = [mask_of(block) for block in rho.blocks()]
             reason = None
             for y in range(s.n):
-                cls = mask_of(i for i in range(s.n) if rho.same(y, i))
-                if nb[y] & ~cls:
+                if nb[y] & ~masks[rho.classes[y]]:
                     reason = f"class of {s.label(y)} is not open"
                     break
             if reason is None:
-                cls = mask_of(i for i in range(s.n) if rho.same(x0, i))
+                cls = masks[rho.classes[x0]]
                 if cls & ~nbx0:
                     z = points_of(cls & ~nbx0)[0]
                     reason = (f"all classes open but {s.label(z)} is forced into "

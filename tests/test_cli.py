@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, determinism, formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -224,6 +225,24 @@ def test_check_cong_basis_on_presentation(tmp_path, capsys):
     assert main(["check", "cong-basis", f, "--json"]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["check"] == "cong-basis" and rep["verdict"] is False
+
+
+# sha256 of the `check cong-basis --json --out` bytes on the odd_chain
+# presentations whose reports list 256 and 512 candidates; w=9 sits exactly at
+# the enumeration limit
+CONG_BASIS_DIGESTS = {
+    8: "cac625c919d19d8c7943b066a3ad25e8f101101bfe2f82e7b0192a476f5e1610",
+    9: "2b18e94757a4460c0851acb79833961b54ae8b344c292f79f86f1313b9fa6d3a",
+}
+
+
+@pytest.mark.parametrize("window", sorted(CONG_BASIS_DIGESTS))
+def test_cong_basis_report_matches_the_pinned_digest(tmp_path, window):
+    pres = presentation_doc(get_instance("odd_chain", window).presentation)
+    f = write(tmp_path, "pres.json", pres)
+    out = tmp_path / "report.json"
+    assert main(["check", "cong-basis", f, "--json", "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONG_BASIS_DIGESTS[window]
 
 
 def test_embed_cayley_and_wp(tmp_path, capsys):

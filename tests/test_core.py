@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from semitop import core
 from semitop.core import (
     RIGHT,
     TWO_SIDED,
@@ -50,6 +51,7 @@ from semitop.semigroups import (
     embedding_catalog,
     full_transformation_monoid,
     left_zero,
+    right_zero,
     signed_antichain_with_zero,
     symmetric_inverse_monoid,
     trivial_monoid,
@@ -222,6 +224,14 @@ def test_meet_rejects_kind_mismatch():
         congruence_meet(diagonal(chain, RIGHT), diagonal(chain, TWO_SIDED))
 
 
+def test_meet_and_join_reject_different_bases():
+    z2, rz3 = diagonal(cyclic_group(2)), universal(right_zero(3))
+    for combine in (congruence_meet, congruence_join):
+        for r1, r2 in ((z2, rz3), (rz3, z2)):
+            with pytest.raises(DomainError, match="different semigroups"):
+                combine(r1, r2)
+
+
 def test_enumerate_counts():
     assert len(enumerate_congruences(trivial_monoid())) == 1
     assert len(enumerate_congruences(cyclic_group(2), RIGHT)) == 2
@@ -231,8 +241,8 @@ def test_enumerate_counts():
 def test_enumerate_bounds():
     with pytest.raises(SizeError):
         enumerate_congruences(signed_antichain_with_zero(6))
-    with pytest.raises(SizeError):
-        enumerate_congruences(chain_semilattice(5), limit=3)
+    with pytest.raises(SizeError):  # 877 right congruences, over the 512 limit
+        enumerate_congruences(right_zero(7))
 
 
 def test_enumerate_matches_partition_filter():
@@ -256,6 +266,22 @@ def test_enumerate_validates_each_member_once(monkeypatch):
             calls.clear()
             lattice = enumerate_congruences(s, kind)
             assert sorted(calls) == [rho.classes for rho in lattice]
+
+
+def test_enumerate_closes_each_pair_once(monkeypatch):
+    calls = []
+    close = core._close
+
+    def counting(s, seeds, kind):
+        calls.append(seeds)
+        return close(s, seeds, kind)
+
+    monkeypatch.setattr(core, "_close", counting)
+    for s in (chain_semilattice(3), cyclic_group(4), brandt_semigroup(2)):
+        for kind in (RIGHT, TWO_SIDED):
+            calls.clear()
+            enumerate_congruences(s, kind)
+            assert 0 < len(calls) <= s.n * (s.n - 1) // 2
 
 
 def test_closure_idempotence_over_lattice():

@@ -149,6 +149,7 @@ def test_meet_join_bracket_their_arguments(data, extra):
                 assert rho.same(a, b) and tau.same(a, b)
             if rho.same(a, b) or tau.same(a, b):
                 assert hi.same(a, b)
+    assert hi == congruence_closure(s, rho.pairs() + tau.pairs(), kind)
 
 
 @given(st.sampled_from(SMALL), st.lists(st.integers(0, 6), min_size=1, max_size=7))
