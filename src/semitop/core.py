@@ -31,14 +31,17 @@ def _greedy_generators(rows):
     come first, so they generate much of what follows: I4 needs 5
     generators in this order and 84 in index order.
 
-    The generated set is closed under the product on both sides, i.e. it is
-    the magma closure: the table is not yet known to be associative, so the
-    closure may not assume that one bracketing of a product covers the rest.
-    Each element joining the closure is multiplied with every element that
-    joined before it, and with itself, on both sides.
+    The generated set is the right-Cayley closure: every reached element is
+    multiplied on the right by every generator once, so the closure costs
+    O(n |G|) lookups.  It holds the left-bracketed products of generators.
+    That is exact for Light's test even before the table is known to be
+    associative, because the set of elements that pass the test is closed
+    under the product (see check_associativity).  On an associative table
+    the left-bracketed products are all products, so the list equals the
+    one a closure under the product on both sides would give.
     """
     seen = [False] * len(rows)
-    closed = []
+    reached = []
     gens = []
     for x in sorted(range(len(rows)), key=lambda a: -len(set(rows[a]))):
         if seen[x]:
@@ -46,16 +49,50 @@ def _greedy_generators(rows):
         gens.append(x)
         seen[x] = True
         todo = [x]
+        for y in reached:  # the earlier closure times the new generator
+            p = rows[y][x]
+            if not seen[p]:
+                seen[p] = True
+                todo.append(p)
         while todo:
             y = todo.pop()
-            closed.append(y)
+            reached.append(y)
             ry = rows[y]
-            for z in closed:
-                for p in (ry[z], rows[z][y]):
-                    if not seen[p]:
-                        seen[p] = True
-                        todo.append(p)
+            for g in gens:
+                p = ry[g]
+                if not seen[p]:
+                    seen[p] = True
+                    todo.append(p)
     return gens
+
+
+def _light_holds(rows, g):
+    """(x*g)*y == x*(g*y) for all x, y: Light's test at one generator g.
+
+    When gS, the distinct entries of g's row, holds more than half the
+    carrier (groups, full monoids), rows are compared directly; otherwise
+    the comparison is restricted to gS (see _light_holds_on).
+    """
+    cols = sorted(set(rows[g]))
+    if 2 * len(cols) > len(rows):
+        times_g_row = itemgetter(*rows[g])  # times_g_row(rows[x])[y] == x*(g*y)
+        return all(rows[row[g]] == times_g_row(row) for row in rows)
+    return _light_holds_on(rows, g, cols)
+
+
+def _light_holds_on(rows, g, cols):
+    """Light's test at g restricted to cols, the sorted distinct entries of
+    g's row.  x*(g*y) reads row x only at those columns, so the check of x
+    depends only on the key (x*g, row x on cols).  Each distinct key is
+    expanded once through the positions of g's row and compared with row
+    x*g: n |gS| + keys n lookups instead of n^2.
+    """
+    if len(cols) == 1:  # itemgetter of one index gives a bare entry: repeat it
+        cols = cols * 2
+    at = {c: i for i, c in enumerate(cols)}
+    expand = itemgetter(*map(at.get, rows[g]))  # expand(row x on cols)[y] == x*(g*y)
+    keys = set(zip(map(itemgetter(g), rows), map(itemgetter(*cols), rows)))
+    return all(rows[xg] == expand(on_gs) for xg, on_gs in keys)
 
 
 def check_associativity(table):
@@ -63,31 +100,35 @@ def check_associativity(table):
 
     Raises MalformedTableError for non-square tables or entries that are not
     ints (bools included) in range, so the checks only ever see valid indices.
+    A row of plain ints within range is accepted at C speed; any other row is
+    read entry by entry, so the first bad entry is the one named.
 
-    Light's test over a greedy generating set G decides the verdict in
-    O(n^2 |G|): it checks (x*g)*y == x*(g*y) for every generator g and all
-    x, y.  It is exact because A = {a : (x*a)*y == x*(a*y) for all x, y} is
-    closed under the product: for a, b in A,
+    Light's test over a greedy generating set G decides the verdict: it
+    checks (x*g)*y == x*(g*y) for every generator g and all x, y.  It is
+    exact because A = {a : (x*a)*y == x*(a*y) for all x, y} is closed under
+    the product: for a, b in A,
     (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
-    So G within A and <G> = S give A = S.  Only when the test fails does the
-    triple scan run, so the witness is the lexicographically least violating
-    triple.
+    So G within A, and every element a left-bracketed product of generators
+    (see _greedy_generators), give A = S.  For each g the check is
+    restricted to the columns gS (see _light_holds_on), which costs
+    O(n |gS| + keys n) per generator, against O(n^2) for the direct row
+    comparison it keeps when 2 |gS| > n.  For a Brandt carrier of window w,
+    |gS| = w + 1.  Only when the test fails does the triple scan run, so the
+    witness is the lexicographically least violating triple.
     """
     n = len(table)
     for row in table:
         if len(row) != n:
             raise MalformedTableError(f"table is not square: row of length {len(row)}, expected {n}")
+        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+            continue
         for v in row:
             if type(v) is not int or not 0 <= v < n:
                 raise MalformedTableError(f"entry {v!r} out of range 0..{n - 1}")
     if n < 2:  # [[0]] is the only valid table; itemgetter of one index is no tuple
         return True, None
     rows = [tuple(row) for row in table]
-    for g in _greedy_generators(rows):
-        times_g_row = itemgetter(*rows[g])  # times_g_row(rows[x])[y] == x*(g*y)
-        if not all(rows[rows[x][g]] == times_g_row(rows[x]) for x in range(n)):
-            break
-    else:
+    if all(_light_holds(rows, g) for g in _greedy_generators(rows)):
         return True, None
     for a in range(n):
         ta = table[a]

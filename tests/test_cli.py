@@ -149,6 +149,15 @@ def test_check_assoc(tmp_path, capsys):
     assert main(["check", "assoc", write(tmp_path, "no.json", {})]) == 1
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 2, "0"])
+def test_check_assoc_names_the_bad_entry(tmp_path, capsys, bad):
+    doc = {"table": [[0, 1], [1, bad]]}
+    assert main(["check", "assoc", write(tmp_path, "bad.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: entry {bad!r} out of range 0..1\n"
+
+
 def test_check_inverse_and_clifford(tmp_path, capsys):
     i2 = sem_file(tmp_path, symmetric_inverse_monoid(2)[0])
     assert main(["check", "inverse", i2]) == 0

@@ -93,6 +93,27 @@ def test_associativity_rejects_bool_entries():
         parse_semigroup({"table": [[True, False], [False, True]]})
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 3, "0"])
+def test_associativity_names_the_bad_entry(bad):
+    """A row of the right length holding a bad entry is read entry by entry,
+    so the message names that entry, and the first of two."""
+    for row in ([0, bad, 2], [bad, 0, 1.5]):
+        with pytest.raises(MalformedTableError) as exc:
+            check_associativity([[0, 1, 2], row, [2, 2, 2]])
+        assert str(exc.value) == f"entry {bad!r} out of range 0..2"
+
+
+def test_associativity_reports_rows_in_order():
+    """A bad entry before a ragged row is named first; a ragged row before a
+    bad entry is reported as ragged."""
+    with pytest.raises(MalformedTableError) as exc:
+        check_associativity([[0, 1, 2], [0, 3, 0], [0]])
+    assert str(exc.value) == "entry 3 out of range 0..2"
+    with pytest.raises(MalformedTableError) as exc:
+        check_associativity([[0, 1, 2], [0], [0, 3, 0]])
+    assert str(exc.value) == "table is not square: row of length 1, expected 3"
+
+
 def test_semigroup_constructor_rejects_nonassociative():
     with pytest.raises(MalformedTableError):
         FinSemigroup(((0, 1), (0, 0)))

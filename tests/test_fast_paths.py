@@ -1,13 +1,16 @@
 """Each bulk fast path against the slow definition it replaces.
 
-The closure engine, the union-find, the stability check in ``Congruence``
-and the Brandt table builder all gather over whole rows at C speed; the
-transformation and partial-bijection tables compose value tuples directly.
+The closure engine, the union-find, the stability check in ``Congruence``,
+Light's test restricted to the columns gS and the Brandt table builder all
+gather over whole rows at C speed; the transformation and partial-bijection
+tables compose value tuples directly.
 Every test here restates the element-by-element definition and requires
 the same answer, chain order included where the certificate depends on it.
 """
 
+import random
 from collections import deque
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import growth_vectors, left_stable, right_stable
-from semitop.core import RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _UnionFind
+from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
+                          _light_holds, _light_holds_on, _UnionFind)
 from semitop.errors import KindError
 from semitop.obstruct import get_instance
 from semitop.semigroups import (
@@ -26,6 +30,7 @@ from semitop.semigroups import (
     full_transformation_monoid,
     left_zero,
     right_zero,
+    symmetric_group,
     symmetric_inverse_monoid,
     trivial_monoid,
 )
@@ -165,3 +170,41 @@ def test_composition_table_matches_compose(build, n):
     s, maps = build(n)
     index = {m: i for i, m in enumerate(maps)}
     assert s.table == tuple(tuple(index[compose(f, g)] for g in maps) for f in maps)
+
+
+def light_by_rows(rows, g):
+    """Light's test at g as the direct row comparison: row x*g against row x
+    read through g's row, for every x."""
+    times_g_row = itemgetter(*rows[g])
+    return all(rows[rows[x][g]] == times_g_row(rows[x]) for x in range(len(rows)))
+
+
+def assert_light_matches_rows(table):
+    rows = [tuple(row) for row in table]
+    for g in _greedy_generators(rows):
+        want = light_by_rows(rows, g)
+        assert _light_holds_on(rows, g, sorted(set(rows[g]))) == want, g
+        assert _light_holds(rows, g) == want, g
+
+
+LIGHT_CASES = [(f"{i}{suffix}", w) for i in CATALOG_IDS for suffix in ("", "-discrete")
+               for w in range(4, 13)]
+LIGHT_CASES += [("I4", symmetric_inverse_monoid(4)[0]), ("T4", full_transformation_monoid(4)[0]),
+                ("S5", symmetric_group(5)), ("L4", left_zero(4))]
+
+
+@pytest.mark.parametrize("name,arg", LIGHT_CASES,
+                         ids=[f"{name}-{arg}" if isinstance(arg, int) else name
+                              for name, arg in LIGHT_CASES])
+def test_restricted_light_test_matches_the_row_comparison(name, arg):
+    """Each generator's comparison on gS against the whole-row comparison,
+    on the pinned table and on one-entry mutations of it, which fail at some
+    generators and change gS at others."""
+    s = get_instance(name, arg).presentation.base if isinstance(arg, int) else arg
+    assert_light_matches_rows(s.table)
+    rng = random.Random(f"{name}-{arg}")
+    for _ in range(4):
+        table = [list(row) for row in s.table]
+        a, b, v = (rng.randrange(s.n) for _ in range(3))
+        table[a][b] = v
+        assert_light_matches_rows(table)

@@ -33,6 +33,8 @@ from semitop.semigroups import (
     chain_semilattice,
     embedding_catalog,
     full_transformation_monoid,
+    left_zero,
+    right_zero,
     signed_antichain_with_zero,
     symmetric_group,
     symmetric_inverse_monoid,
@@ -451,10 +453,11 @@ def least_violating_triple(table):
     return None
 
 
-def greedy_generators_by_fixpoint(table):
+def greedy_generators_by_fixpoint(table, closure):
     """Scan by decreasing number of distinct row entries, ties by index;
-    each element outside the magma closure of the earlier generators becomes
-    one.  The closure is recomputed as a fixpoint."""
+    each element outside the closure of the earlier generators becomes one.
+    The closure is recomputed as a fixpoint of `closure(table, closed, gens)`,
+    the set of new products it admits."""
     gens, closed = [], set()
     n = len(table)
     for x in sorted(range(n), key=lambda a: (-len(set(table[a])), a)):
@@ -462,9 +465,19 @@ def greedy_generators_by_fixpoint(table):
             continue
         gens.append(x)
         closed.add(x)
-        while more := {table[a][b] for a in closed for b in closed} - closed:
+        while more := closure(table, closed, gens) - closed:
             closed |= more
     return gens
+
+
+def right_cayley(table, closed, gens):
+    """The products x*g of a reached element x and a generator g."""
+    return {table[a][g] for a in closed for g in gens}
+
+
+def magma(table, closed, gens):
+    """The products a*b of any two reached elements."""
+    return {table[a][b] for a in closed for b in closed}
 
 
 def test_associativity_matches_triple_scan_on_every_magma_up_to_three():
@@ -474,7 +487,7 @@ def test_associativity_matches_triple_scan_on_every_magma_up_to_three():
             table = [entries[i * n:(i + 1) * n] for i in range(n)]
             triple = least_violating_triple(table)
             assert check_associativity(table) == (triple is None, triple)
-            assert _greedy_generators(table) == greedy_generators_by_fixpoint(table)
+            assert _greedy_generators(table) == greedy_generators_by_fixpoint(table, right_cayley)
             checked += 1
     assert checked == 1 + 16 + 19683
 
@@ -487,6 +500,8 @@ ASSOCIATIVE_BASES = [
     symmetric_group(3),
     chain_semilattice(5),
     signed_antichain_with_zero(4),
+    left_zero(4),  # every row constant: |gS| = 1
+    right_zero(4),  # every row the identity: gS is the carrier
 ]
 
 
@@ -503,7 +518,35 @@ def test_associativity_matches_triple_scan_on_relabelled_and_mutated_tables(base
         table[a][b] = v
     triple = least_violating_triple(table)
     assert check_associativity(table) == (triple is None, triple)
-    assert _greedy_generators(table) == greedy_generators_by_fixpoint(table)
+    assert _greedy_generators(table) == greedy_generators_by_fixpoint(table, right_cayley)
+    if triple is None:
+        assert _greedy_generators(table) == greedy_generators_by_fixpoint(table, magma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_associativity_matches_triple_scan_on_mutated_brandt_tables(w, data):
+    """One entry of a Brandt table redrawn: Light's test runs on the columns
+    gS (|gS| = w + 1 of w^2 + 1), and must both accept and reject exactly."""
+    table = [list(row) for row in brandt_semigroup(w).table]
+    n = len(table)
+    a, b, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    table[a][b] = v
+    triple = least_violating_triple(table)
+    assert check_associativity(table) == (triple is None, triple)
+
+
+def test_right_cayley_and_magma_closures_agree_on_semigroups():
+    """On an associative table every product is a left-bracketed product of
+    generators, so both closures give the same generator list."""
+    from semitop.obstruct import get_instance
+    ids = ["exB", "odd_chain", "right_simple_zero:Z2", "right_simple_zero:R2",
+           "right_simple_zero:S3", "brandt", "luke"]
+    tables = [get_instance(i + suffix, w).presentation.base.table
+              for i in ids for suffix in ("", "-discrete") for w in range(4, 13)]
+    tables += [symmetric_inverse_monoid(4)[0].table, full_transformation_monoid(4)[0].table]
+    for table in tables:
+        assert _greedy_generators(table) == greedy_generators_by_fixpoint(table, magma)
 
 
 def test_rank_ordered_generating_sets():
