@@ -23,7 +23,7 @@ from .core import (
     natural_order,
     subsemigroup,
 )
-from .errors import DomainError, EvaluationError, KindError, TheoremViolationError
+from .errors import DomainError, KindError, TheoremViolationError
 from .semigroups import FinProduct, composition_table, symmetric_inverse_monoid
 from .topo import TopSemigroup, TopSpec, TruncatedPresentation, holds_nbhds, min_nbhds
 from .transforms import (
@@ -41,7 +41,6 @@ from .transforms import (
     PartialPerm,
     Transformation,
     _value_at,
-    basic_open_member,
     compose,
     invert,
     lazy_extend_identity,
@@ -102,6 +101,9 @@ class RepresentationMap:
                             f"{type(self.target).__name__}")
         if self.space != FINITE and self.window is None:
             raise DomainError("function-space images need an evaluation window")
+        alien = {NN: PartialPerm, IN: Transformation}.get(self.space)
+        if alien and any(isinstance(img, alien) for img in self.images):
+            raise KindError(f"a {alien.__name__} image does not live in {self.space}")
         values = self.images if self.space == FINITE else tuple(
             tuple(_value_at(img, x) for x in range(self.window)) for img in self.images)
         object.__setattr__(self, "values", values)
@@ -557,17 +559,17 @@ class EmbeddingReport:
     ok: bool
     preimage_failures: tuple  # (BasicOpen, preimage mask) pairs that are not open
     relative_failures: tuple  # source open masks whose image has no open trace
-    undecidable: tuple        # basic opens whose membership could not be decided
 
 
-def verify_embedding(rep: RepresentationMap, source_top=None, basic_opens=None) -> EmbeddingReport:
+def verify_embedding(rep: RepresentationMap, source_top=None) -> EmbeddingReport:
     """Topological audit of an already-verified injective homomorphism.
 
-    Preimages of the given target basic opens must be open in the source,
-    and the image of every source basic open must be a union of traces of
-    target basic opens on the image set (relative openness).  Membership
-    questions a lazy image cannot decide are reported, not guessed.  A None
-    source means the discrete topology without materializing it.
+    Preimages of the separating basic opens of the target must be open in
+    the source, and the image of every source basic open must be a union of
+    traces of those opens on the image set (relative openness).  Each
+    separating open pins one window point to one value, so its trace is read
+    off the value tuples and every membership is decided.  A None source
+    means the discrete topology without materializing it.
     """
     if isinstance(source_top, TopSemigroup):
         source_top = source_top.top
@@ -579,25 +581,16 @@ def verify_embedding(rep: RepresentationMap, source_top=None, basic_opens=None) 
         raise KindError(f"unsupported source topology {type(source_top).__name__}")
     if len(nbhds) != rep.source.n:
         raise KindError("source topology carrier does not match the representation source")
-    if basic_opens is None:
-        basic_opens = separating_opens(rep)
 
     traces = []
     bad_pre = []
-    undecidable = []
-    for b in basic_opens:
+    for b in separating_opens(rep):
+        (atom,) = b.atoms  # (x, v) in NN, (U, x, v) or (W, x) with v = None in IN
+        x, v = (atom[1], None) if atom[0] == W_DOM else atom[-2:]
         mask = 0
-        decided = True
-        for i, img in enumerate(rep.images):
-            try:
-                if basic_open_member(img, b):
-                    mask |= 1 << i
-            except EvaluationError:
-                undecidable.append(b)
-                decided = False
-                break
-        if not decided:
-            continue
+        for i, vals in enumerate(rep.values):
+            if vals[x] == v:
+                mask |= 1 << i
         traces.append(mask)
         if not holds_nbhds(nbhds, mask):
             bad_pre.append((b, mask))
@@ -612,5 +605,4 @@ def verify_embedding(rep: RepresentationMap, source_top=None, basic_opens=None) 
         ok=not bad_pre and not bad_rel,
         preimage_failures=tuple(bad_pre),
         relative_failures=bad_rel,
-        undecidable=tuple(undecidable),
     )

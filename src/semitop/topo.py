@@ -61,6 +61,8 @@ def _topology_check(n, opens) -> tuple[str | None, tuple[int, ...]]:
     under intersection: a & b is the union of N_x over its points x, since
     N_x lies in every member holding x.  The converse is the definition.
     """
+    if n < 0:
+        return f"carrier size {n} is negative", ()
     full = (1 << n) - 1
     opens = set(opens)
     for o in opens:
@@ -437,14 +439,15 @@ class TruncatedPresentation:
         pts = [p for p, _ in self.families]
         if sorted(self.limit_points) != sorted(set(self.limit_points)) or pts != list(self.limit_points):
             raise DomainError("families must list each limit point exactly once, in order")
+        for p in self.limit_points:
+            if not 0 <= p < n:
+                raise DomainError(f"limit point {p} is out of range")
         full = (1 << n) - 1
         limit_mask = mask_of(self.limit_points)
         last = {p: fam[-1] for p, fam in self.families if fam}
         nbhds = tuple(last.get(x, 1 << x) for x in range(n))
         object.__setattr__(self, "nbhds", nbhds)
         for p, fam in self.families:
-            if not 0 <= p < n:
-                raise DomainError(f"limit point {p} is out of range")
             if not fam:
                 raise DomainError(f"limit point {p} has an empty neighborhood family")
             prev = full

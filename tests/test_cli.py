@@ -290,6 +290,27 @@ def test_embed_product_adjoin_embcl(tmp_path, capsys):
     assert main(["embed", "embcl", too_big]) == 1
 
 
+# sha256 of the `embed --json --out` bytes whose images are lazy maps: the
+# adjoin pair on Z2 (FiniteTable over AffineParity, Identity, Const) and the
+# product Z2 x chain2 (PairBlock)
+EMBED_DIGESTS = {
+    "adjoin": "f6d185454e2cf904d282764ae21c182240a3f7b9fefe7b8a0ae54cf77d11c3a4",
+    "product": "1fabb8403b29869b6a46999a44eec3e884dc045b225354b87acbdf78871b2dfb",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMBED_DIGESTS))
+def test_lazy_embed_report_matches_the_pinned_digest(tmp_path, kind):
+    if kind == "adjoin":
+        f = sem_file(tmp_path, cyclic_group(2))
+    else:
+        f = write(tmp_path, "prod.json", {"kind": "product", "factors": [
+            semigroup_doc(cyclic_group(2)), semigroup_doc(chain_semilattice(2))]})
+    out = tmp_path / "report.json"
+    assert main(["embed", kind, f, "--json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EMBED_DIGESTS[kind]
+
+
 def test_embed_clifford_product_and_group_restrict(tmp_path, capsys):
     z2 = sem_file(tmp_path, cyclic_group(2))
     assert main(["embed", "clifford-product", z2, "--json"]) == 0

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import law_replay
+from semitop import embed
 from semitop.core import (
     NotInverse,
     idempotents,
@@ -47,14 +48,12 @@ from semitop.transforms import (
     IN,
     NN,
     U_ATOM,
-    W_IM,
     BasicOpen,
     PartialPerm,
     Transformation,
     compose,
     identity_pp,
     lazy_eval,
-    lazy_extend_undefined,
     pair_index,
     pp_from_pairs,
 )
@@ -247,27 +246,18 @@ def test_verify_embedding_flags_non_open_preimage():
     report = verify_embedding(rep, ts)
     assert not report.ok
     assert (BasicOpen(NN, ((1, 0),)), 0b01) in report.preimage_failures
-    assert report.relative_failures == () and report.undecidable == ()
+    assert report.relative_failures == ()
 
 
-def test_verify_embedding_flags_missing_trace():
+def test_verify_embedding_flags_missing_trace(monkeypatch):
+    # the separating opens split every pair of images, so only a thinner
+    # family leaves a source neighborhood without a trace
     rep = cayley_right_regular(cyclic_group(2))
-    report = verify_embedding(rep, None, basic_opens=(BasicOpen(NN, ((0, 0),)),))
+    monkeypatch.setattr(embed, "separating_opens", lambda _rep: (BasicOpen(NN, ((0, 0),)),))
+    report = verify_embedding(rep, None)
     assert not report.ok
     assert report.preimage_failures == ()
     assert 0b10 in report.relative_failures
-
-
-def test_verify_embedding_reports_undecidable():
-    s, _ = symmetric_inverse_monoid(1)
-    wp = wagner_preston(inverse_structure(s))
-    lazy = RepresentationMap(
-        source=s, images=tuple(lazy_extend_undefined(p) for p in wp.images),
-        space=IN, window=wp.window)
-    w_im = BasicOpen(IN, ((W_IM, 0),))
-    report = verify_embedding(lazy, None, basic_opens=(w_im,))
-    assert report.undecidable == (w_im,)
-    assert not report.ok
 
 
 def test_verify_embedding_carrier_mismatch():
@@ -295,6 +285,13 @@ def test_representation_map_rejections():
     with pytest.raises(KindError):  # a finite target must compose associatively
         RepresentationMap(source=z2, images=(0, 1), space=FINITE,
                           target=SimpleNamespace(n=2, mul=z2.mul))
+    with pytest.raises(KindError, match="PartialPerm"):  # partial maps are not total
+        RepresentationMap(source=z2, images=(PartialPerm(2, (0, 1)), PartialPerm(2, (1, 0))),
+                          space=NN, window=2)
+    with pytest.raises(KindError, match="Transformation"):  # total maps are not partial
+        RepresentationMap(source=z2, images=(Transformation(2, (0, 1)),
+                                             Transformation(2, (1, 0))),
+                          space=IN, window=2)
 
 
 def test_representation_doc_shape():

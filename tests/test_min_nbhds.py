@@ -16,7 +16,11 @@ from oracles import min_nbhd_mask
 from semitop.core import inverse_structure
 from semitop.embed import (
     EmbeddingReport,
+    RepresentationMap,
+    adjoin_embed,
     cayley_right_regular,
+    embcl_rep,
+    product_embed,
     separating_opens,
     verify_embedding,
     wagner_preston,
@@ -32,9 +36,10 @@ from semitop.topo import (
     is_topology,
     points_of,
 )
-from semitop.transforms import basic_open_member
+from semitop.transforms import IN, basic_open_member, lazy_extend_undefined
 
 FIXTURES = bundled_top_semigroups()
+CATALOG = dict(embedding_catalog())
 SMALL_CATALOG = [iid + suffix for iid in ("exB", "odd_chain", "right_simple_zero:Z2",
                                           "right_simple_zero:R2")
                  for suffix in ("", "-discrete")]
@@ -199,10 +204,11 @@ def test_presentation_opens_match_the_family_rule_on_drawn_presentations(pres):
     assert spec.nbhds == pres.nbhds
 
 
-def audit_by_dispatch(rep, source_top, basic_opens):
+def audit_by_dispatch(rep, source_top):
     """The embedding audit with one openness rule per kind of source: None
     (discrete, everything open), a TopSpec (membership in the open family,
-    minimal neighborhoods from the family scan) or a TopSemigroup."""
+    minimal neighborhoods from the family scan) or a TopSemigroup.  Each
+    image is read through `basic_open_member`, not through its value tuple."""
     if isinstance(source_top, TopSemigroup):
         source_top = source_top.top
     n = rep.source.n
@@ -214,7 +220,7 @@ def audit_by_dispatch(rep, source_top, basic_opens):
         is_open = source_top.opens.__contains__
         basis = tuple(sorted({min_nbhd_mask(source_top.opens, n, x) for x in range(n)}))
     traces, bad_pre = [], []
-    for b in basic_opens:
+    for b in separating_opens(rep):
         mask = 0
         for i, img in enumerate(rep.images):
             if basic_open_member(img, b):
@@ -227,20 +233,32 @@ def audit_by_dispatch(rep, source_top, basic_opens):
         for x in points_of(mask):
             atom[x] &= mask
     bad_rel = tuple(u for u in basis if any(atom[x] & ~u for x in points_of(u)))
-    return EmbeddingReport(not bad_pre and not bad_rel, tuple(bad_pre), bad_rel, ())
+    return EmbeddingReport(not bad_pre and not bad_rel, tuple(bad_pre), bad_rel)
 
 
 AUDIT_CASES = [(name, cayley_right_regular(s), None) for name, s in embedding_catalog()]
-AUDIT_CASES += [("wp_I2", wagner_preston(inverse_structure(symmetric_inverse_monoid(2)[0])), None)]
+_WP_I2 = wagner_preston(inverse_structure(symmetric_inverse_monoid(2)[0]))
+AUDIT_CASES += [("wp_I2", _WP_I2, None)]
 for _name, _ts in FIXTURES:
     AUDIT_CASES += [(_name, cayley_right_regular(_ts.sem), _ts),
                     (_name + "_spec", cayley_right_regular(_ts.sem), _ts.top)]
+# lazy images: FiniteTable over AffineParity with Identity and Const (adjoin),
+# PairBlock (product), FiniteTable over Const (embcl), and FiniteTable over
+# the undefined map, whose holes inside the window give W atoms
+_LAZY = [(f"adjoin{k}_{name}", r)
+         for name in ("Z2", "R2")
+         for k, r in zip("10", adjoin_embed(cayley_right_regular(CATALOG[name])))]
+_LAZY += [("product_Z2xchain2", product_embed(
+              [cayley_right_regular(CATALOG["Z2"]), cayley_right_regular(CATALOG["chain2"])])),
+          ("embcl_I2", embcl_rep(2)),
+          ("lazy_wp_I2", RepresentationMap(
+              source=_WP_I2.source, images=tuple(map(lazy_extend_undefined, _WP_I2.images)),
+              space=IN, window=_WP_I2.window + 1))]
+for _name, _rep in _LAZY:  # the indiscrete source makes most traces fail to be open
+    AUDIT_CASES += [(_name, _rep, None),
+                    (_name + "_indiscrete", _rep, TopSpec.indiscrete(_rep.source.n))]
 
 
 @pytest.mark.parametrize("name,rep,source", AUDIT_CASES, ids=[c[0] for c in AUDIT_CASES])
 def test_embedding_audit_matches_the_per_source_dispatch(name, rep, source):
-    full = separating_opens(rep)
-    # fewer target opens leave some source neighborhoods without a trace
-    for basic_opens in (full, full[: len(full) // 2], full[:1]):
-        assert verify_embedding(rep, source, basic_opens) == \
-            audit_by_dispatch(rep, source, basic_opens)
+    assert verify_embedding(rep, source) == audit_by_dispatch(rep, source)

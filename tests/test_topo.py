@@ -68,6 +68,8 @@ def test_is_topology_verdicts():
 def test_top_spec_validation_and_queries():
     with pytest.raises(DomainError):
         TopSpec(2, frozenset({0b01, 0b11}))
+    with pytest.raises(DomainError, match="negative"):  # not a shift-count ValueError
+        TopSpec(-1, frozenset())
     t = SIERPINSKI
     assert t.is_open(0b01) and not t.is_open(0b10)
     assert t.min_nbhd(0) == 0b01 and t.min_nbhd(1) == 0b11
@@ -241,6 +243,9 @@ def test_presentation_validation():
         TruncatedPresentation(s, 4, 3, (0,), ((0, (0b0011,)),), 0b1111)
     with pytest.raises(DomainError):  # families must match limit_points
         TruncatedPresentation(s, 4, 2, (0, 1), ((0, (0b1111,)),), 0b1111)
+    for p in (-1, 4):  # a negative point must not reach a shift first
+        with pytest.raises(DomainError, match=f"limit point {p} is out of range"):
+            TruncatedPresentation(s, 4, 2, (p,), ((p, (0b1111,)),), 0b1111)
     with pytest.raises(DomainError, match="holds limit point 1"):  # {0,1} misses N_1 = {1,2,3}
         TruncatedPresentation(s, 4, 2, (0, 1), ((0, (0b0011,)), (1, (0b1110,))), 0b1111,
                               strict=False)
