@@ -9,8 +9,8 @@ TheoremViolationError rather than producing a silently wrong map.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
+from operator import getitem
 
 from .core import (
     FinSemigroup,
@@ -50,7 +50,6 @@ from .transforms import (
 )
 
 FINITE = "finite"
-SAMPLE_SEED = 0  # fixed, so a sampled check and its report are reproducible
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,12 @@ class RepresentationMap:
     space window (NN), the partial-bijection space (IN), or an abstract
     finite product (finite).
 
-    The source, and a finite target, must be a FinSemigroup or a
-    FinProduct: the homomorphism check relies on their associativity.
+    The source must be a FinSemigroup or a FinProduct, whose table the
+    checks read (a product past PRODUCT_BOUND elements raises SizeError
+    before any image is evaluated), and a finite target a FinProduct.
     ``values`` is what the checks compare: each NN or IN image's values on
-    ``window``, read as basic opens read them, or the finite images
-    themselves.
+    ``window``, read as basic opens read them, or each finite image's
+    component tuple in the target.
 
     When every value stays in the window (or is a hole, None), the value
     tuples compose as self-maps of a finite set, so the law on the pairs
@@ -71,18 +71,20 @@ class RepresentationMap:
     induction on the length of b as a product of generators; a finite
     target is a semigroup, so the same holds there.  Otherwise, or when
     that check fails, all pairs are scanned in order and the least failing
-    one is reported.  ``sample`` > 0 switches the check to that many seeded
-    random pairs (injectivity stays exhaustive, it is hash-based).
+    one is reported.  Every check is exhaustive.
     """
 
     source: FinSemigroup | FinProduct
     images: tuple
     space: str
     window: int | None = None
-    target: object | None = None
+    target: FinProduct | None = None
     name: str = ""
-    sample: int = 0
     values: tuple = field(init=False, repr=False, compare=False)
+    verification = "exhaustive"
+    # not a field: perfbench/tracer.py reads it to count embed.hom_pairs;
+    # ROADMAP item 2 (the benchmark change) deletes it
+    sample = 0
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
@@ -96,16 +98,23 @@ class RepresentationMap:
             raise DomainError(f"{len(self.images)} images for {n} elements")
         if self.space == FINITE and self.target is None:
             raise DomainError("an abstract finite representation needs its target")
-        if self.space == FINITE and not isinstance(self.target, (FinSemigroup, FinProduct)):
-            raise KindError(f"a finite target must be a semigroup, not "
+        if self.space == FINITE and not isinstance(self.target, FinProduct):
+            raise KindError(f"a finite target must be a product, not "
                             f"{type(self.target).__name__}")
         if self.space != FINITE and self.window is None:
             raise DomainError("function-space images need an evaluation window")
         alien = {NN: PartialPerm, IN: Transformation}.get(self.space)
         if alien and any(isinstance(img, alien) for img in self.images):
             raise KindError(f"a {alien.__name__} image does not live in {self.space}")
-        values = self.images if self.space == FINITE else tuple(
-            tuple(_value_at(img, x) for x in range(self.window)) for img in self.images)
+        rows = self.source.table  # an oversized product refuses before any evaluation
+        if self.space == FINITE:
+            size = self.target.n
+            if not all(type(img) is int and 0 <= img < size for img in self.images):
+                raise DomainError(f"a finite image must index the {size}-element target")
+            values = tuple(map(self.target.decode, self.images))
+        else:
+            values = tuple(tuple(_value_at(img, x) for x in range(self.window))
+                           for img in self.images)
         object.__setattr__(self, "values", values)
         seen = {}
         for i, v in enumerate(values):
@@ -113,40 +122,30 @@ class RepresentationMap:
             if j != i:
                 raise TheoremViolationError(
                     f"not injective: elements {j} and {i} share an image")
-        if self.sample and n * n > self.sample:
-            rng = random.Random(SAMPLE_SEED)
-            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(self.sample)]
-        else:  # the generator pairs decide; the ordered scan names a witness
-            pairs = itertools.product(range(n), repeat=2)
-            win = self.window
-            if self.space == FINITE or all(v is None or 0 <= v < win
-                                           for vals in values for v in vals):
-                src = self.source
-                rows = src.table if isinstance(src, FinSemigroup) else [
-                    [src.mul(a, b) for b in range(n)] for a in range(n)]
-                gens = _greedy_generators(rows)
-                if all(self._composes(a, g) for a in range(n) for g in gens):
-                    pairs = ()
+        # the generator pairs decide; the ordered scan names a witness
+        pairs = itertools.product(range(n), repeat=2)
+        win = self.window
+        if self.space == FINITE or all(v is None or 0 <= v < win
+                                       for vals in values for v in vals):
+            gens = _greedy_generators(rows)
+            if all(self._composes(a, g) for a in range(n) for g in gens):
+                pairs = ()
         for a, b in pairs:
             if not self._composes(a, b):
                 raise TheoremViolationError(f"homomorphism fails at ({a}, {b})")
 
-    @property
-    def verification(self) -> str:
-        n = self.source.n
-        if self.sample and n * n > self.sample:
-            return f"sampled {self.sample} pairs (seed {SAMPLE_SEED})"
-        return "exhaustive"
-
     def _composes(self, a, b) -> bool:
-        """(x)(fa*fb) = ((x)fa)fb at every window point x; fb is evaluated
-        afresh only where fa leaves the window."""
-        want = self.values[self.source.mul(a, b)]
+        """In a finite target, the components of fa and fb multiply to those
+        of f(a*b).  Otherwise (x)(fa*fb) = ((x)fa)fb at every window point
+        x; fb is evaluated afresh only where fa leaves the window."""
+        va, vb = self.values[a], self.values[b]
+        want = self.values[self.source.table[a][b]]
         if self.space == FINITE:
-            return self.target.mul(self.images[a], self.images[b]) == want
-        vb, fb, win = self.values[b], self.images[b], self.window
+            tables = self.target.factor_tables
+            return tuple(map(getitem, map(getitem, tables, va), vb)) == want
+        fb, win = self.images[b], self.window
         return tuple([None if v is None else vb[v] if 0 <= v < win else _value_at(fb, v)
-                      for v in self.values[a]]) == want
+                      for v in va]) == want
 
 
 def representation_doc(rep: RepresentationMap) -> dict:
@@ -232,22 +231,26 @@ def _as_lazy(img):
 def product_embed(reps) -> RepresentationMap:
     """Join function-space representations of several factors along the
     pairing 2^i(2j+1)-1: factor i acts inside block i, blocks past the last
-    factor stay pointwise fixed, so composition works blockwise."""
+    factor stay pointwise fixed, so composition works blockwise.  All factors
+    live in one space (a total map is no partial bijection), and the product
+    of their sources has at most PRODUCT_BOUND elements."""
     reps = tuple(reps)
     if not reps:
         raise DomainError("need at least one factor")
+    spaces = {r.space for r in reps}
+    if len(spaces) > 1 or FINITE in spaces:
+        raise KindError(f"factors must share one function space, not {sorted(spaces)}")
+    (space,) = spaces
     prod = FinProduct(tuple(r.source for r in reps))
     inners = [tuple(_as_lazy(img) for img in r.images) for r in reps]
-    space = NN if all(r.space == NN for r in reps) else IN
     wmax = max(r.window for r in reps)
     win = pair_index(len(reps) - 1, wmax - 1) + 2
     images = tuple(
         PairBlock(tuple(inners[i][p] for i, p in enumerate(prod.decode(x))))
         for x in range(prod.n)
     )
-    sample = 0 if prod.n <= 64 else 512
     return RepresentationMap(source=prod, images=images, space=space, window=win,
-                             sample=sample, name="product_" + "x".join(
+                             name="product_" + "x".join(
                                  getattr(r.source, "name", "?") or "?" for r in reps))
 
 
@@ -343,61 +346,29 @@ def shared_image_laws(maps):
       element merges or separates the two points exactly as f does.
     """
     maps = tuple(maps)
-    group, unit, inv = transformation_group(maps)
+    _, unit, inv = transformation_group(maps)
     e = maps[unit]
     image = tuple(sorted(set(e.map)))
-    results = []
-
-    wit = next(((x, e.map[x]) for x in image if e.map[x] != x), None)
-    results.append(("unit-fixes-image", wit is None, wit))
-
-    wit = next((i for i, m in enumerate(maps) if tuple(sorted(set(m.map))) != image), None)
-    results.append(("common-image", wit is None, wit))
-
-    wit = None
-    for i, m in enumerate(maps):
-        if tuple(sorted(m.map[x] for x in image)) != image:
-            wit = i
-            break
-    results.append(("restriction-permutes", wit is None, wit))
-
-    wit = None
-    for i, m in enumerate(maps):
-        back = maps[inv[i]]
-        bad = next((x for x in image if back.map[m.map[x]] != x), None)
-        if bad is not None:
-            wit = (i, bad)
-            break
-    results.append(("inverse-restriction", wit is None, wit))
-
-    wit = None
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            if all(maps[i].map[x] == maps[j].map[x] for x in image):
-                wit = (i, j)
-                break
-        if wit:
-            break
-    results.append(("restriction-separates", wit is None, wit))
-
-    wit = None
-    for i, f in enumerate(maps):
-        for x in range(f.window):
-            for xp in image:
-                if f.map[x] != f.map[xp]:
-                    continue
-                for j, g in enumerate(maps):
-                    if (g.map[x] == f.map[x]) != (g.map[xp] == f.map[xp]):
-                        wit = (i, x, xp, j)
-                        break
-                if wit:
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    results.append(("value-transfer", wit is None, wit))
-    return tuple(results)
+    pairs = itertools.combinations(range(len(maps)), 2)
+    witnesses = {  # the first violation in scan order, or None
+        "unit-fixes-image": next(((x, e.map[x]) for x in image if e.map[x] != x), None),
+        "common-image": next(
+            (i for i, m in enumerate(maps) if tuple(sorted(set(m.map))) != image), None),
+        "restriction-permutes": next(
+            (i for i, m in enumerate(maps) if tuple(sorted(m.map[x] for x in image)) != image),
+            None),
+        "inverse-restriction": next(
+            ((i, x) for i, m in enumerate(maps) for x in image
+             if maps[inv[i]].map[m.map[x]] != x), None),
+        "restriction-separates": next(
+            ((i, j) for i, j in pairs
+             if all(maps[i].map[x] == maps[j].map[x] for x in image)), None),
+        "value-transfer": next(
+            ((i, x, xp, j) for i, f in enumerate(maps) for x in range(f.window)
+             for xp in image if f.map[x] == f.map[xp] for j, g in enumerate(maps)
+             if (g.map[x] == f.map[x]) != (g.map[xp] == f.map[xp])), None),
+    }
+    return tuple((law, wit is None, wit) for law, wit in witnesses.items())
 
 
 @dataclass(frozen=True)
@@ -490,7 +461,8 @@ def clifford_product_embed(inv: InverseStructure) -> RepresentationMap:
 
     Component e of the image of s carries s*e when e lies below s*s^-1 and
     the adjoined zero otherwise; the first component records s*s^-1 itself.
-    The product target is virtual, so large factor counts stay cheap.
+    The product target is virtual: the check multiplies components in the
+    factor tables, so large factor counts stay cheap.
     """
     dec = clifford_decompose(inv)
     t = inv.base.table
@@ -515,10 +487,8 @@ def clifford_product_embed(inv: InverseStructure) -> RepresentationMap:
             else:
                 parts.append(len(dec.components[k]))
         images.append(prod.encode(parts))
-    sample = 0 if inv.n <= 64 else 512
     return RepresentationMap(source=inv.base, images=tuple(images), space=FINITE,
-                             target=prod, sample=sample,
-                             name=f"clifford_product_{inv.base.name or inv.n}")
+                             target=prod, name=f"clifford_product_{inv.base.name or inv.n}")
 
 
 def semil_iso(e: PartialPerm) -> tuple[int, ...]:

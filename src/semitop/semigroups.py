@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import FinSemigroup, adjoin_identity, adjoin_zero
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .transforms import PartialPerm, Transformation
 
 
@@ -141,20 +143,21 @@ def brandt_semigroup(w) -> FinSemigroup:
     return FinSemigroup(table, names=names, name=f"B{w}")
 
 
+PRODUCT_BOUND = 2048  # elements of the largest product whose table is built
+
+
 @dataclass(frozen=True)
 class FinProduct:
-    """Direct product of finitely many finite semigroups, multiplied
-    componentwise on packed mixed-radix indices without materializing the
-    table."""
+    """Direct product of finitely many finite semigroups on packed
+    mixed-radix indices: with F the last factor, (a, x) is a*|F| + x, so
+    row (a, x) of the table holds ab*|F| + xy.  The table is built once,
+    on first use, from the factor tables."""
 
-    factors: tuple[FinSemigroup, ...]
+    factors: tuple[FinSemigroup | FinProduct, ...]
 
     @property
     def n(self):
-        out = 1
-        for f in self.factors:
-            out *= f.n
-        return out
+        return math.prod(f.n for f in self.factors)
 
     def encode(self, parts) -> int:
         x = 0
@@ -169,9 +172,25 @@ class FinProduct:
             parts.append(r)
         return tuple(reversed(parts))
 
-    def mul(self, a, b) -> int:
-        pa, pb = self.decode(a), self.decode(b)
-        return self.encode(tuple(f.table[x][y] for f, x, y in zip(self.factors, pa, pb)))
+    @cached_property
+    def factor_tables(self) -> tuple:
+        return tuple(f.table for f in self.factors)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        if self.n > PRODUCT_BOUND:
+            raise SizeError(f"will not build the {self.n}-row table of a product; "
+                            f"the bound is {PRODUCT_BOUND}")
+        rows = ((0,),)
+        for f in self.factors:
+            # blocks[x][c] is c*|F| + (row x of F); row (a, x) chains the
+            # blocks of x named by row a, so its cells are shared ints
+            m = f.n
+            blocks = [[tuple([c * m + xy for xy in row]) for c in range(len(rows))]
+                      for row in f.table]
+            rows = tuple(tuple(itertools.chain.from_iterable(map(bx.__getitem__, ra)))
+                         for ra in rows for bx in blocks)
+        return rows
 
 
 def semilattice_from_sets(sets) -> FinSemigroup:

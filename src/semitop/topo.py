@@ -48,6 +48,13 @@ def is_topology(n, opens) -> tuple[bool, str | None]:
     return why is None, why
 
 
+def _carrier(n) -> int:
+    """The full bitmask of an n-point carrier; checked before the shift."""
+    if n < 0:
+        raise DomainError(f"carrier size {n} is negative")
+    return (1 << n) - 1
+
+
 def _topology_check(n, opens) -> tuple[str | None, tuple[int, ...]]:
     """The reason a family of subset bitmasks is not a topology, or None,
     and the minimal neighborhood vector the check computed on the way.
@@ -136,16 +143,16 @@ class TopSpec:
         if n > 20:
             raise SizeError(f"will not materialize 2^{n} open sets; "
                             "audits against a discrete source can pass None instead")
-        return TopSpec(n, frozenset(range(1 << n)))
+        return TopSpec(n, frozenset(range(_carrier(n) + 1)))
 
     @staticmethod
     def indiscrete(n) -> "TopSpec":
-        return TopSpec(n, frozenset({0, (1 << n) - 1}))
+        return TopSpec(n, frozenset({0, _carrier(n)}))
 
     @staticmethod
     def generated(n, subbasis) -> "TopSpec":
         """Close a subbasis under finite intersection and arbitrary union."""
-        full = (1 << n) - 1
+        full = _carrier(n)
         return TopSpec(n, _unions(min_nbhds(n, (s & full for s in subbasis))))
 
     def opens_sorted(self) -> tuple[int, ...]:

@@ -5,15 +5,18 @@ import json
 
 import pytest
 
+from semitop import embed
 from semitop.cli import main
 from semitop.core import Congruence, semigroup_doc
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
     cyclic_group,
+    full_transformation_monoid,
     left_zero,
     symmetric_inverse_monoid,
 )
+from semitop.transforms import PairBlock
 from semitop.obstruct import certificate_doc, escape_certificate, get_instance
 from semitop.topo import bundled_top_semigroups, presentation_doc, top_spec_doc
 
@@ -288,6 +291,25 @@ def test_embed_product_adjoin_embcl(tmp_path, capsys):
     assert "7 partial bijections" in capsys.readouterr().out
     too_big = write(tmp_path, "big.json", {"kind": "symmetric_inverse", "window": 9})
     assert main(["embed", "embcl", too_big]) == 1
+
+
+def test_embed_product_past_the_bound_is_refused_unevaluated(tmp_path, capsys, monkeypatch):
+    t3 = semigroup_doc(full_transformation_monoid(3)[0])
+    prod = write(tmp_path, "t3cubed.json", {"kind": "product", "factors": [t3, t3, t3]})
+    evaluated = []
+    real = embed._value_at
+
+    def spy(img, x):
+        if isinstance(img, PairBlock):
+            evaluated.append(x)
+        return real(img, x)
+
+    monkeypatch.setattr(embed, "_value_at", spy)
+    assert main(["embed", "product", prod]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and evaluated == []  # no product image was evaluated
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "19683" in captured.err
 
 
 # sha256 of the `embed --json --out` bytes whose images are lazy maps: the

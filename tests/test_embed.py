@@ -1,5 +1,7 @@
 """Regular representations and their topological audits."""
 
+import dataclasses
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -34,13 +36,17 @@ from semitop.embed import (
     verify_embedding,
     wagner_preston,
 )
-from semitop.errors import DomainError, KindError, TheoremViolationError
+from semitop.errors import DomainError, KindError, SizeError, TheoremViolationError
 from semitop.semigroups import (
+    PRODUCT_BOUND,
+    FinProduct,
     chain_semilattice,
     cyclic_group,
     embedding_catalog,
+    full_transformation_monoid,
     left_zero,
     right_zero,
+    signed_antichain_with_zero,
     symmetric_inverse_monoid,
 )
 from semitop.topo import TopSpec, bundled_top_semigroups
@@ -285,6 +291,8 @@ def test_representation_map_rejections():
     with pytest.raises(KindError):  # a finite target must compose associatively
         RepresentationMap(source=z2, images=(0, 1), space=FINITE,
                           target=SimpleNamespace(n=2, mul=z2.mul))
+    with pytest.raises(KindError):  # ... and be a product, read by components
+        RepresentationMap(source=z2, images=(0, 1), space=FINITE, target=z2)
     with pytest.raises(KindError, match="PartialPerm"):  # partial maps are not total
         RepresentationMap(source=z2, images=(PartialPerm(2, (0, 1)), PartialPerm(2, (1, 0))),
                           space=NN, window=2)
@@ -302,12 +310,77 @@ def test_representation_doc_shape():
     assert doc["verification"] == "exhaustive"
 
 
-def test_sampled_verification_label():
+def test_large_product_is_checked_exhaustively():
     factors = [cayley_right_regular(CATALOG[n]) for n in ("S3", "I2", "chain3")]
     rep = product_embed(factors)
     assert rep.source.n == 6 * 7 * 3
-    assert rep.verification.startswith("sampled 512 pairs")
+    assert rep.verification == "exhaustive"
     assert verify_embedding(rep).ok
+    assert "sample" not in {f.name for f in dataclasses.fields(RepresentationMap)}
+    assert not hasattr(FinProduct, "mul")
+
+
+def test_product_embed_refuses_a_product_past_the_bound():
+    t3 = cayley_right_regular(full_transformation_monoid(3)[0])
+    assert 27 ** 2 <= PRODUCT_BOUND < 27 ** 3
+    assert product_embed([t3, t3]).verification == "exhaustive"
+    with pytest.raises(SizeError):
+        product_embed([t3, t3, t3])
+
+
+def test_product_embed_needs_one_space():
+    rz2 = cayley_right_regular(right_zero(2))  # NN
+    wp_i2 = wagner_preston(inverse_structure(CATALOG["I2"]))  # IN
+    for reps in ([rz2, wp_i2], [wp_i2, rz2]):
+        with pytest.raises(KindError):  # a total map is no partial bijection
+            product_embed(reps)
+    wp_c2 = wagner_preston(inverse_structure(chain_semilattice(2)))
+    rep = product_embed([wp_i2, wp_c2])
+    assert rep.space == IN and rep.source.n == 14
+    assert verify_embedding(rep).ok
+
+
+def product_rows_by_decoding(prod):
+    """The product table cell by cell: decode both indices, multiply the
+    components in the factor tables, encode the result."""
+    def mul(a, b):
+        return prod.encode(tuple(f.table[x][y] for f, x, y in
+                                 zip(prod.factors, prod.decode(a), prod.decode(b))))
+    return tuple(tuple(mul(a, b) for b in range(prod.n)) for a in range(prod.n))
+
+
+def test_product_table_matches_componentwise_multiplication():
+    z2, l2, r2 = cyclic_group(2), left_zero(2), right_zero(2)
+    for factors in ((z2,), (CATALOG["S3"], CATALOG["I2"]),
+                    (chain_semilattice(3), FinProduct((z2, l2)), r2),
+                    (FinProduct((CATALOG["B2"],)), z2)):
+        prod = FinProduct(factors)
+        # indices count the component tuples in lexicographic order
+        parts = list(itertools.product(*(range(f.n) for f in factors)))
+        assert [prod.decode(x) for x in range(prod.n)] == parts
+        assert [prod.encode(p) for p in parts] == list(range(prod.n))
+        assert prod.table == product_rows_by_decoding(prod), factors
+    assert FinProduct((z2,)).table == z2.table
+
+
+def test_clifford_product_check_is_exhaustive_and_names_the_least_failing_pair():
+    s = signed_antichain_with_zero(40)
+    rep = clifford_product_embed(inverse_structure(s))
+    assert rep.source.n == 82 and rep.verification == "exhaustive"
+    target = rep.target
+    images = list(rep.images)
+    images[5], images[8] = images[8], images[5]
+
+    def composes(a, b):
+        parts = zip(target.factors, target.decode(images[a]), target.decode(images[b]))
+        return target.encode(tuple(f.table[x][y] for f, x, y in parts)) == images[s.mul(a, b)]
+
+    a, b = next((a, b) for a in range(s.n) for b in range(s.n) if not composes(a, b))
+    with pytest.raises(TheoremViolationError, match=rf"fails at \({a}, {b}\)$"):
+        RepresentationMap(source=s, images=images, space=FINITE, target=target)
+    with pytest.raises(DomainError):  # an index past the target is no element
+        RepresentationMap(source=s, images=[target.n] + images[1:], space=FINITE,
+                          target=target)
 
 
 def test_idempotent_images_are_idempotent():

@@ -68,8 +68,11 @@ def test_is_topology_verdicts():
 def test_top_spec_validation_and_queries():
     with pytest.raises(DomainError):
         TopSpec(2, frozenset({0b01, 0b11}))
-    with pytest.raises(DomainError, match="negative"):  # not a shift-count ValueError
-        TopSpec(-1, frozenset())
+    # not a shift-count ValueError
+    for build in (lambda: TopSpec(-1, frozenset()), lambda: TopSpec.discrete(-1),
+                  lambda: TopSpec.indiscrete(-1), lambda: TopSpec.generated(-1, [])):
+        with pytest.raises(DomainError, match="negative"):
+            build()
     t = SIERPINSKI
     assert t.is_open(0b01) and not t.is_open(0b10)
     assert t.min_nbhd(0) == 0b01 and t.min_nbhd(1) == 0b11
