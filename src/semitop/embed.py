@@ -15,7 +15,6 @@ from operator import getitem
 from .core import (
     FinSemigroup,
     InverseStructure,
-    _greedy_generators,
     adjoin_identity,
     adjoin_zero,
     is_clifford,
@@ -127,7 +126,7 @@ class RepresentationMap:
         win = self.window
         if self.space == FINITE or all(v is None or 0 <= v < win
                                        for vals in values for v in vals):
-            gens = _greedy_generators(rows)
+            gens = self.source.generators
             if all(self._composes(a, g) for a in range(n) for g in gens):
                 pairs = ()
         for a, b in pairs:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FinSemigroup, adjoin_identity, adjoin_zero
+from .core import FinSemigroup, _greedy_generators, adjoin_identity, adjoin_zero
 from .errors import DomainError, SizeError
 from .transforms import PartialPerm, Transformation
 
@@ -191,6 +191,11 @@ class FinProduct:
             rows = tuple(tuple(itertools.chain.from_iterable(map(bx.__getitem__, ra)))
                          for ra in rows for bx in blocks)
         return rows
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of the product, as FinSemigroup.generators."""
+        return tuple(_greedy_generators(self.table))
 
 
 def semilattice_from_sets(sets) -> FinSemigroup:

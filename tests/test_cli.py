@@ -257,6 +257,21 @@ def test_cong_basis_report_matches_the_pinned_digest(tmp_path, window):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONG_BASIS_DIGESTS[window]
 
 
+# sha256 of the `obstruct FAMILY -w 24 --out` bytes (carrier 577), where the
+# closure engine skips most multipliers of each merged row
+OBSTRUCT_W24_DIGESTS = {
+    "brandt": "dc39678a6adaeec08085ef78ddebca1110f06906b3dae8498cfefb7b35b99e42",
+    "luke": "7ce89532c686c25f61d8c062622bd70bdaaf9b25a976fab4ac155cdbf7310cba",
+}
+
+
+@pytest.mark.parametrize("family", sorted(OBSTRUCT_W24_DIGESTS))
+def test_window_24_certificate_matches_the_pinned_digest(tmp_path, family):
+    out = tmp_path / "cert.json"
+    assert main(["obstruct", family, "-w", "24", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OBSTRUCT_W24_DIGESTS[family]
+
+
 def test_embed_cayley_and_wp(tmp_path, capsys):
     z2 = sem_file(tmp_path, cyclic_group(2))
     assert main(["embed", "cayley", z2, "--json"]) == 0

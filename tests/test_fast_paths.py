@@ -1,14 +1,17 @@
 """Each bulk fast path against the slow definition it replaces.
 
-The closure engine, the union-find, the stability check in ``Congruence``,
-Light's test restricted to the columns gS and the Brandt table builder all
-gather over whole rows at C speed; the transformation and partial-bijection
-tables compose value tuples directly.
+The closure engine reads only the supports of the rows it merges, the
+stability check in ``Congruence`` reads only the generators of its base,
+the union-find, Light's test restricted to the columns gS and the Brandt
+table builder gather over whole rows at C speed; the transformation and
+partial-bijection tables compose value tuples directly.
 Every test here restates the element-by-element definition and requires
 the same answer, chain order included where the certificate depends on it.
 """
 
+import gc
 import random
+import weakref
 from collections import deque
 from operator import itemgetter
 from types import SimpleNamespace
@@ -19,9 +22,10 @@ from hypothesis import strategies as st
 
 from oracles import growth_vectors, left_stable, right_stable
 from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
-                          _light_holds, _light_holds_on, _UnionFind)
+                          _light_holds, _light_holds_on, _Support, _UnionFind, canonical_classes,
+                          congruence_closure)
 from semitop.errors import KindError
-from semitop.obstruct import get_instance
+from semitop.obstruct import escape_certificate, get_instance
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
@@ -73,8 +77,11 @@ def close_by_multiplier_loop(table, seeds, kind):
     return tuple(first.setdefault(find(x), len(first)) for x in range(n)), tuple(chain)
 
 
-@pytest.mark.parametrize("window", range(4, 10))
-@pytest.mark.parametrize("instance_id", CATALOG_IDS)
+CLOSE_CASES = [(i, w) for i in CATALOG_IDS for w in range(4, 10)]
+CLOSE_CASES += [("brandt", 16), ("luke", 16)]  # long rows with short supports
+
+
+@pytest.mark.parametrize("instance_id,window", CLOSE_CASES)
 def test_close_matches_the_multiplier_loop_on_every_branch(instance_id, window):
     for suffix in ("", "-discrete"):
         inst = get_instance(instance_id + suffix, window)
@@ -85,18 +92,36 @@ def test_close_matches_the_multiplier_loop_on_every_branch(instance_id, window):
             assert _close(s, seeds, TWO_SIDED)[0] == close_by_multiplier_loop(s.table, seeds, TWO_SIDED)[0]
 
 
+def magma(table, d):
+    """A stand-in for FinSemigroup holding what the closure engine reads: n,
+    the table, its columns, and the supports of rows and columns, here
+    against the drawn entry d instead of the most common one.  Any entry d
+    gives the same closure; only the scan length depends on it."""
+    columns = tuple(zip(*table))
+    supports = _Support(table), _Support(columns)
+    for support in supports:
+        support.d = d
+    return SimpleNamespace(n=len(table), table=table, columns=columns,
+                           row_support=supports[0], column_support=supports[1])
+
+
 @st.composite
-def magmas_with_seeds(draw):
-    """A random table (associative or not: the engine reads only n and the
-    table), seed pairs, and a kind."""
-    n = draw(st.integers(1, 7))
-    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+def magmas_with_seeds(draw, dominant=False):
+    """A random table (associative or not: the engine reads only what
+    `magma` holds), seed pairs, and a kind.  With dominant, most cells hold
+    one entry, so the supports are short, as in the Brandt carriers."""
+    n = draw(st.integers(1, 9 if dominant else 7))
+    d = draw(st.integers(0, n - 1))
+    cell = st.integers(0, n - 1)
+    if dominant:
+        cell = st.one_of(st.just(d), st.just(d), st.just(d), cell)
+    row = st.lists(cell, min_size=n, max_size=n).map(tuple)
     table = tuple(draw(st.lists(row, min_size=n, max_size=n)))
     seeds = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
-    return SimpleNamespace(n=n, table=table), seeds, draw(st.sampled_from([RIGHT, TWO_SIDED]))
+    return magma(table, d), seeds, draw(st.sampled_from([RIGHT, TWO_SIDED]))
 
 
-@given(magmas_with_seeds())
+@given(st.one_of(magmas_with_seeds(), magmas_with_seeds(dominant=True)))
 def test_close_matches_the_multiplier_loop_on_drawn_tables(case):
     s, seeds, kind = case
     classes, chain = _close(s, seeds, kind)
@@ -116,17 +141,85 @@ STABILITY_CASES = [("trivial", trivial_monoid()), ("Z2", cyclic_group(2)), ("L2"
 STABILITY_CASES += [(name, s) for name, s in embedding_catalog() if 2 < s.n <= 7]
 
 
+def per_block_scan(s, kind, vec):
+    """Stability by comparing every member's translated classes with its
+    block representative's, on every multiplier: None, or the message of
+    the first failure."""
+    n = s.n
+    sides = [(s.table, "not right-stable: ({rep},{x}) * {s}")]
+    if kind == TWO_SIDED:
+        sides.append((tuple(zip(*s.table)), "not left-stable: {s} * ({rep},{x})"))
+    blocks = {}
+    for x, c in enumerate(vec):
+        blocks.setdefault(c, []).append(x)
+    for block in blocks.values():
+        rep = block[0]
+        for rows, message in sides:
+            want = [vec[v] for v in rows[rep]]
+            for x in block[1:]:
+                got = [vec[v] for v in rows[x]]
+                if got != want:
+                    m = next(i for i in range(n) if got[i] != want[i])
+                    return message.format(rep=rep, x=x, s=m)
+    return None
+
+
+def rejection(s, kind, vec):
+    """None when Congruence accepts the partition, else its message."""
+    try:
+        Congruence(s, kind, vec)
+    except KindError as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("kind", [RIGHT, TWO_SIDED])
 @pytest.mark.parametrize("name,s", STABILITY_CASES, ids=[name for name, _ in STABILITY_CASES])
 def test_congruence_accepts_exactly_the_stable_partitions(name, s, kind):
+    """Every partition of the small carriers: the generator check accepts
+    exactly the stable ones, and a rejection names the same (rep, x, s) as
+    the full per-block scan."""
     for vec in growth_vectors(s.n):
-        try:
-            Congruence(s, kind, vec)
-            accepted = True
-        except KindError:
-            accepted = False
+        got = rejection(s, kind, vec)
         stable = right_stable(s.table, vec) and (kind == RIGHT or left_stable(s.table, vec))
-        assert accepted == stable, vec
+        assert (got is None) == stable, vec
+        assert got == per_block_scan(s, kind, vec), vec
+
+
+def near_congruences(s, kind, rng, count):
+    """Random partitions of the carrier, every principal congruence, and each
+    of those with one point moved to a random class."""
+    n = s.n
+    vecs = [canonical_classes([rng.randrange(k) for _ in range(n)])
+            for k in (1, 2, 3, n) for _ in range(count)]
+    vecs += [congruence_closure(s, [(a, b)], kind).classes
+             for a in range(n) for b in range(a + 1, n)]
+    for vec in vecs[:]:
+        moved = list(vec)
+        moved[rng.randrange(n)] = rng.choice(vec)
+        vecs.append(canonical_classes(moved))
+    return vecs
+
+
+@pytest.mark.parametrize("kind", [RIGHT, TWO_SIDED])
+def test_generator_acceptance_matches_the_per_block_scan_on_b3(kind):
+    """B3 has 115,975 partitions, so random and near-stable ones stand in
+    for all of them (B2 is among the stability cases above)."""
+    s = brandt_semigroup(3)
+    for vec in near_congruences(s, kind, random.Random(f"B3-{kind}"), 40):
+        assert rejection(s, kind, vec) == per_block_scan(s, kind, vec), vec
+
+
+def test_no_cache_outlives_its_semigroup():
+    """The supports, columns and generators are cached on the semigroup, so
+    dropping the semigroup frees them."""
+    inst = get_instance("brandt", 8)
+    escape_certificate(inst)
+    ref = weakref.ref(inst.presentation.base)
+    assert ref().row_support  # the search filled the supports
+    del inst
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("w", range(1, 9))
@@ -159,7 +252,7 @@ def test_union_find_matches_the_naive_partition(case):
                 block[x] = merged
     for a in range(n):
         for b in range(n):
-            assert (uf.find(a) == uf.find(b)) == (b in block[a])
+            assert (uf.label[a] == uf.label[b]) == (b in block[a])
 
 
 @pytest.mark.parametrize("build", [full_transformation_monoid, symmetric_inverse_monoid])

@@ -187,7 +187,7 @@ def test_unstable_partition_is_rejected():
         for z in points_of(br.neighborhood):
             uf.union(inst.limit, z)
         merging = [k for k, (_, _, (da, db)) in enumerate(chain) if uf.union(da, db)]
-        return canonical_classes([uf.find(x) for x in range(n)]), merging
+        return canonical_classes(uf.label), merging
 
     last = replay(br.chain)[1][-1]
     cut = replace(br, chain=br.chain[:last], classes=replay(br.chain[:last])[0])
