@@ -87,8 +87,11 @@ def _paint(text, code):
 
 def _emit_json(doc, out=None):
     """The one JSON writer: sorted keys on one compact line, which CPython
-    encodes in C; ``python -m json.tool`` indents it for reading."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    encodes in C; ``python -m json.tool`` indents it for reading.  Every
+    document is a fresh tree built from frozen dataclasses, so no container
+    can hold itself and the encoder's cycle check is skipped."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:

@@ -270,6 +270,20 @@ def basis_by_candidate_filter(table, opens):
     return False
 
 
+# -- separating atoms of an embedding ------------------------------------------
+
+
+def separating_atoms_by_all_pairs(values):
+    """The (point, value) atoms at the first point where each pair of
+    distinct value tuples differs, every pair scanned."""
+    atoms = set()
+    for i, u in enumerate(values):
+        for v in values[i + 1:]:
+            x = next(x for x in range(len(u)) if u[x] != v[x])
+            atoms.update(((x, u[x]), (x, v[x])))
+    return atoms
+
+
 # -- shared-image transformation group laws ------------------------------------
 
 

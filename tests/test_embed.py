@@ -320,12 +320,33 @@ def test_large_product_is_checked_exhaustively():
     assert not hasattr(FinProduct, "mul")
 
 
-def test_product_embed_refuses_a_product_past_the_bound():
+def test_product_embed_refuses_a_product_past_the_bound(monkeypatch):
     t3 = cayley_right_regular(full_transformation_monoid(3)[0])
     assert 27 ** 2 <= PRODUCT_BOUND < 27 ** 3
     assert product_embed([t3, t3]).verification == "exhaustive"
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match="19683 images"):  # 19683 * 213 values
         product_embed([t3, t3, t3])
+    l46 = cayley_right_regular(left_zero(46))  # 2116 elements, 2116 * 187 values
+    with pytest.raises(SizeError, match="2116-row table"):
+        product_embed([l46, l46])
+    # the window doubles per factor: T2^5 x Z2 holds 2048 * 225 values and
+    # is kept, Z2^11 would hold 2048 * 3073 of them
+    t2 = cayley_right_regular(full_transformation_monoid(2)[0])
+    z2 = cayley_right_regular(cyclic_group(2))
+    rep = product_embed([t2] * 5 + [z2])
+    assert (rep.source.n, rep.window) == (2048, 225)
+    assert rep.source.n * rep.window <= embed.PRODUCT_VALUES_BOUND
+    report = verify_embedding(rep)
+    assert report.ok and len(separating_opens(rep)) == 32
+    # both refusals come before any image is built
+    monkeypatch.setattr(embed, "PairBlock", None)
+    with pytest.raises(SizeError, match="3073-point window; the bound is .* values"):
+        product_embed([z2] * 11)
+    # a left-zero product needs every element as a generator, so its check
+    # reads n * n * window values: 529 * 529 * 95 here
+    l23 = cayley_right_regular(left_zero(23))
+    with pytest.raises(SizeError, match="529 generators .* value reads"):
+        product_embed([l23, l23])
 
 
 def test_product_embed_needs_one_space():
