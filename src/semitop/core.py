@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import itemgetter, ne
 
@@ -151,9 +151,15 @@ def _associativity(table):
 
 class _Support(dict):
     """``support[a]``: the ascending positions where ``rows[a]`` differs
-    from d, the most common entry of the rows, listed the first time row a
-    is asked for.  d is counted at the first ask, so a closure that merges
-    nothing counts nothing."""
+    from one entry d of the rows, listed the first time row a is asked for.
+
+    d is the zero when the rows have one, else their most common entry.
+    The left-bracketed product z = 0*1*...*(n-1) of the rows is the zero if
+    there is one, since it is a product with the zero as a factor, and z is
+    the zero iff its row and its column hold only z: 2n reads.  Only when
+    they do not are the n^2 entries counted.  d is found at the first ask,
+    so a closure that merges nothing reads nothing.
+    """
 
     def __init__(self, rows):
         super().__init__()
@@ -161,8 +167,13 @@ class _Support(dict):
 
     @cached_property
     def d(self):
+        rows = self.rows
+        n = len(rows)
+        z = reduce(lambda p, x: rows[p][x], range(n))
+        if rows[z].count(z) == n and all(row[z] == z for row in rows):
+            return z
         counts = Counter()
-        for row in self.rows:
+        for row in rows:
             counts.update(row)
         return counts.most_common(1)[0][0]
 
@@ -221,12 +232,14 @@ class FinSemigroup:
 
     @cached_property
     def row_support(self) -> _Support:
-        """Where each row differs from the most common entry of the table."""
+        """Where each row differs from the zero, or else from the most
+        common entry of the table."""
         return _Support(self.table)
 
     @cached_property
     def column_support(self) -> _Support:
-        """Where each column differs from the most common entry."""
+        """Where each column differs from the zero, or else from the most
+        common entry."""
         return _Support(self.columns)
 
 
@@ -343,6 +356,25 @@ def canonical_classes(vec) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _translate_holds(c, size, line, support, cd):
+    """Whether x -> line[x] sends each class of the class vector c into one
+    class, when line[x] is d, of class cd, at every x outside the ascending
+    list support; size[a] is the number of members of class a.
+
+    The members in the support must send each class to one class.  A class
+    with members outside the support also goes to cd, so a class sent
+    elsewhere must lie inside the support: counting the support members
+    sent outside cd checks that for all such classes at once.  The cost is
+    O(len(support)) whatever the size of c.
+    """
+    src = map(c.__getitem__, support)
+    dst = tuple(map(c.__getitem__, map(line.__getitem__, support)))
+    pairs = set(zip(src, dst))
+    image = dict(pairs)
+    return (len(image) == len(pairs)
+            and len(dst) - dst.count(cd) == sum(size[a] for a, b in image.items() if b != cd))
+
+
 @dataclass(frozen=True)
 class Congruence:
     """A right or two-sided congruence, stored as a canonical partition.
@@ -356,11 +388,16 @@ class Congruence:
     then x*g1 rho y*g1, (x*g1)*g2 rho (y*g1)*g2, and so on, and since the
     table is associative the left-bracketed products of generators are all
     of S (Howie, Fundamentals of Semigroup Theory, 1995, 1.5).  Left
-    stability is the mirror image.  So each generator costs one C-speed
-    pass over the classes.  The block-by-block scan, which names a failure,
-    reads one row per member that is not its block's representative: it
-    runs when that is no more rows than there are generators (the diagonal
-    of a discrete control reads none), or when some generator fails.
+    stability is the mirror image.  Each generator g is checked on its
+    column support alone (its row support for the left side), the x with
+    x*g other than the column entry d, the zero when there is one (see
+    _Support and _translate_holds); the class sizes are counted once per
+    partition.  A Brandt column of window w has a support of w places, so
+    a branch of that carrier costs O(n + w |G|) = O(w^2) reads, not n |G|.
+    The block-by-block scan, which names a failure, reads one row per
+    member that is not its block's representative: it runs when that is no
+    more rows than there are generators (the diagonal of a discrete control
+    reads none), or when some generator fails.
     """
 
     base: FinSemigroup
@@ -376,20 +413,20 @@ class Congruence:
         if self.classes != canonical_classes(self.classes):
             raise MalformedTableError("class vector is not in canonical first-occurrence form")
         n = self.base.n
-        if n < 2:  # at most one point is always stable; itemgetter of one index is no tuple
-            return
         c = self.classes
         k = self.num_classes
         gens = self.base.generators
         # stable under g: the class of x*g (and of g*x) is a function of the
-        # class of x, so the pairs number k.  The block scan below reads n - k
-        # rows, so the generators go first only when they are fewer.
-        translates = [self.base.columns]
-        if self.kind == TWO_SIDED:
-            translates.append(self.base.table)
-        if len(gens) < n - k and all(len(set(zip(c, itemgetter(*line[g])(c)))) == k
-                                     for g in gens for line in translates):
-            return
+        # class of x.  The block scan below reads n - k rows, so the
+        # generators go first only when they are fewer.
+        if len(gens) < n - k:
+            translates = [(self.base.columns, self.base.column_support)]
+            if self.kind == TWO_SIDED:
+                translates.append((self.base.table, self.base.row_support))
+            size = Counter(c)
+            if all(_translate_holds(c, size, lines[g], support[g], c[support.d])
+                   for lines, support in translates for g in gens):
+                return
         # comparing every member against its block representative covers all
         # same-class pairs by transitivity and names the first failure
         sides = [(self.base.table, "not right-stable: ({rep},{x}) * {s}")]
@@ -470,9 +507,9 @@ def _close(s: FinSemigroup, seeds, kind):
     of row x: the positions where it differs from one entry d of the table
     (s.row_support; s.column_support, with its own d, for the left side).
     Any m outside both has a*m == d == b*m, a pair that joins nothing, so
-    the scan finds the same multipliers in the same order.  With d the most
-    common entry, a Brandt row of window w has a support of w out of
-    w*w + 1 places, so a union costs O(w) instead of O(w^2).
+    the scan finds the same multipliers in the same order.  With d the
+    zero, a Brandt row of window w has a support of w out of w*w + 1
+    places, so a union costs O(w) instead of O(w^2).
     """
     if kind not in (RIGHT, TWO_SIDED):
         raise KindError(f"unknown congruence kind {kind!r}")

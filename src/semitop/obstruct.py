@@ -203,9 +203,12 @@ def verify_certificate(inst: CatalogInstance, cert: ObstructionCertificate) -> t
     pair, so the replay lies inside the least right congruence containing
     the seeds, and a right-stable replay containing the seeds equals it.
     Right stability is checked by Congruence on the generators of the base
-    alone.  That rests on the associativity FinSemigroup checks when the
-    carrier is built, not on the search engine being checked.  Indices must
-    lie below len(classes), as certificate_from_doc ensures.
+    alone, each read only on its column support (the x with x*g other than
+    the zero, when the carrier has one), so a branch costs O(n + sum of the
+    support sizes), not n per generator.  That rests on the associativity
+    FinSemigroup checks when the carrier is built, not on the search engine
+    being checked.  Indices must lie below len(classes), as
+    certificate_from_doc ensures.
     """
     pres = inst.presentation
     if cert.instance_id != inst.instance_id:

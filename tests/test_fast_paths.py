@@ -2,9 +2,11 @@
 
 The closure engine reads only the supports of the rows it merges, the
 stability check in ``Congruence`` reads only the generators of its base,
-the union-find, Light's test restricted to the columns gS and the Brandt
-table builder gather over whole rows at C speed; the transformation and
-partial-bijection tables compose value tuples directly.
+each on its column (or row) support, the supports are taken against the
+zero when there is one, the union-find, Light's test restricted to the
+columns gS and the Brandt table builder gather over whole rows at C speed;
+the transformation and partial-bijection tables compose value tuples
+directly.
 Every test here restates the element-by-element definition and requires
 the same answer, chain order included where the certificate depends on it.
 """
@@ -12,7 +14,7 @@ the same answer, chain order included where the certificate depends on it.
 import gc
 import random
 import weakref
-from collections import deque
+from collections import Counter, deque
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -22,10 +24,10 @@ from hypothesis import strategies as st
 
 from oracles import growth_vectors, left_stable, right_stable
 from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
-                          _light_holds, _light_holds_on, _Support, _UnionFind, canonical_classes,
-                          congruence_closure)
+                          _light_holds, _light_holds_on, _Support, _translate_holds, _UnionFind,
+                          canonical_classes, congruence_closure)
 from semitop.errors import KindError
-from semitop.obstruct import escape_certificate, get_instance
+from semitop.obstruct import escape_certificate, forcing_closure, get_instance, verify_certificate
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
@@ -95,8 +97,9 @@ def test_close_matches_the_multiplier_loop_on_every_branch(instance_id, window):
 def magma(table, d):
     """A stand-in for FinSemigroup holding what the closure engine reads: n,
     the table, its columns, and the supports of rows and columns, here
-    against the drawn entry d instead of the most common one.  Any entry d
-    gives the same closure; only the scan length depends on it."""
+    against the drawn entry d instead of the zero or the most common one.
+    Any entry d gives the same closure; only the scan length depends on
+    it."""
     columns = tuple(zip(*table))
     supports = _Support(table), _Support(columns)
     for support in supports:
@@ -210,13 +213,151 @@ def test_generator_acceptance_matches_the_per_block_scan_on_b3(kind):
         assert rejection(s, kind, vec) == per_block_scan(s, kind, vec), vec
 
 
+def with_support_entry(s, d):
+    """s as `magma` holds it, with its generators: what Congruence reads,
+    with the supports taken against the entry d."""
+    return SimpleNamespace(**vars(magma(s.table, d)), generators=s.generators)
+
+
+def generators_accept(s, kind, vec):
+    """The generator check of Congruence alone, without the gate that sends
+    partitions with few non-representatives to the block scan."""
+    translates = [(s.columns, s.column_support)]
+    if kind == TWO_SIDED:
+        translates.append((s.table, s.row_support))
+    size = Counter(vec)
+    return all(_translate_holds(vec, size, lines[g], support[g], vec[support.d])
+               for lines, support in translates for g in s.generators)
+
+
+def branch_partitions(inst, rng, moves):
+    """The forcing closure of every admissible neighbourhood, and each of
+    them with one point moved, into another class or into a class alone."""
+    vecs = [forcing_closure(inst.presentation, inst.limit, v)[0] for v in inst.admissible()]
+    n = len(vecs[0])
+    for vec in vecs[:]:
+        for i in range(moves):
+            moved = list(vec)
+            moved[rng.randrange(n)] = vec[rng.randrange(n)] if i % 2 else n
+            vecs.append(canonical_classes(moved))
+    return vecs
+
+
+SUPPORT_CHECK_CASES = [(f"{i}{suffix}", w) for i in CATALOG_IDS for suffix in ("", "-discrete")
+                       for w in range(4, 13)]
+
+
+@pytest.mark.parametrize("instance_id,window", SUPPORT_CHECK_CASES)
+def test_support_check_matches_the_per_block_scan_on_every_branch(instance_id, window):
+    """The generator check on column (and row) supports against the full
+    per-block scan, on every branch partition of a catalog instance and on
+    one-point moves of each: the same accept or reject, and the same
+    message.  Then the supports are taken against other entries d, every
+    entry at small carriers and a drawn few above: the verdict does not
+    depend on d."""
+    s = get_instance(instance_id, window).presentation.base
+    rng = random.Random(f"{instance_id}-{window}")
+    vecs = branch_partitions(get_instance(instance_id, window), rng, 4)
+    want = {}
+    for kind in (RIGHT, TWO_SIDED):
+        for vec in vecs:
+            want[kind, vec] = per_block_scan(s, kind, vec)
+            assert rejection(s, kind, vec) == want[kind, vec], (kind, vec)
+            assert generators_accept(s, kind, vec) == (want[kind, vec] is None), (kind, vec)
+    entries = range(s.n) if s.n <= 20 else rng.sample(range(s.n), 3)
+    for d in entries:
+        t = with_support_entry(s, d)
+        for (kind, vec), message in want.items():
+            assert generators_accept(t, kind, vec) == (message is None), (d, kind, vec)
+            assert rejection(t, kind, vec) == message, (d, kind, vec)
+
+
+def most_common_entry(rows):
+    counts = Counter()
+    for row in rows:
+        counts.update(row)
+    return counts.most_common(1)[0][0]
+
+
+def two_sided_zeros(table):
+    n = len(table)
+    return [z for z in range(n) if all(table[z][x] == z == table[x][z] for x in range(n))]
+
+
+ZERO_IDS = ["brandt", "luke", "odd_chain", "right_simple_zero:Z2", "right_simple_zero:R2",
+            "right_simple_zero:S3"]
+
+
+@pytest.mark.parametrize("window", [4, 7, 12])
+@pytest.mark.parametrize("instance_id", ZERO_IDS)
+def test_support_entry_is_the_zero(instance_id, window):
+    s = get_instance(instance_id, window).presentation.base
+    zero, = two_sided_zeros(s.table)
+    assert s.row_support.d == zero
+    assert s.column_support.d == zero
+
+
+NO_ZERO_CASES = [("exB", get_instance("exB", 6).presentation.base), ("Z2", cyclic_group(2)),
+                 ("S3", symmetric_group(3)), ("T3", full_transformation_monoid(3)[0]),
+                 # 0 and 1 are left zeros and 2*x == 1: the product 0*1*2 is 0, whose
+                 # row is constant and whose column is not, and 1 is the most common
+                 ("left zeros", FinSemigroup(((0, 0, 0), (1, 1, 1), (1, 1, 1))))]
+
+
+@pytest.mark.parametrize("name,s", NO_ZERO_CASES, ids=[name for name, _ in NO_ZERO_CASES])
+def test_support_entry_without_a_zero_is_the_most_common_entry(name, s):
+    assert two_sided_zeros(s.table) == []
+    for rows in (s.table, s.columns):
+        assert _Support(rows).d == most_common_entry(rows)
+    assert s.row_support.d == most_common_entry(s.table)
+    assert s.column_support.d == most_common_entry(s.columns)
+
+
+class CountingRows:
+    """A table whose rows count every entry read through them."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, a):
+        return CountingRow(self, self.rows[a])
+
+
+class CountingRow:
+    def __init__(self, owner, row):
+        self.owner = owner
+        self.row = row
+
+    def __getitem__(self, x):
+        self.owner.reads += 1
+        return self.row[x]
+
+
+def test_generator_check_reads_only_the_column_supports(monkeypatch):
+    """On a branch partition of brandt at window 16 (n = 257), right
+    stability reads at most n + the total size of the generators' column
+    supports, not n per generator, and accepts without the block scan."""
+    inst = get_instance("brandt", 16)
+    s = inst.presentation.base
+    vec = forcing_closure(inst.presentation, inst.limit, inst.admissible()[-1])[0]
+    Congruence(s, RIGHT, vec)  # fills the supports and d
+    bound = s.n + sum(len(s.column_support[g]) for g in s.generators)
+    counting = vars(s)["columns"] = CountingRows(s.columns)
+    monkeypatch.setattr(Congruence, "blocks", None)
+    Congruence(s, RIGHT, vec)
+    assert 0 < counting.reads <= bound < s.n * len(s.generators) // 4
+
+
 def test_no_cache_outlives_its_semigroup():
     """The supports, columns and generators are cached on the semigroup, so
     dropping the semigroup frees them."""
     inst = get_instance("brandt", 8)
-    escape_certificate(inst)
+    cert = escape_certificate(inst)
+    assert verify_certificate(inst, cert) == (True, None)
     ref = weakref.ref(inst.presentation.base)
     assert ref().row_support  # the search filled the supports
+    assert ref().column_support  # and the verifier the column supports
     del inst
     gc.collect()
     assert ref() is None
