@@ -64,7 +64,6 @@ from .errors import (
     SemitopError,
     SizeError,
     TheoremViolationError,
-    WindowEscapeError,
 )
 from .obstruct import (
     CatalogInstance,
@@ -79,7 +78,6 @@ from .obstruct import (
     forcing_closure,
     get_instance,
     instance_doc,
-    instance_from_doc,
     right_simple_check,
     verify_certificate,
 )
@@ -87,7 +85,6 @@ from .semigroups import (
     FinProduct,
     brandt_semigroup,
     chain_semilattice,
-    commutative_inverse_monoid_catalog,
     cyclic_group,
     embedding_catalog,
     full_transformation_monoid,
@@ -114,13 +111,9 @@ from .transforms import (
     PartialPerm,
     Transformation,
     agree_on_window,
-    basic_open_member,
     compose,
     invert,
-    lazy_eval,
-    lazy_from_doc,
     lazy_to_doc,
-    window_restrict,
 )
 
 __version__ = "0.1.0"

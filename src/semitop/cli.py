@@ -112,7 +112,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, over-long integers
         raise LoadError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -21,20 +21,6 @@ class SizeError(SemitopError):
     """Input exceeds a configured enumeration bound."""
 
 
-class WindowEscapeError(SemitopError):
-    """A map leaves the requested window; carries the escaping point."""
-
-    def __init__(self, point, value, window):
-        self.point = point
-        self.value = value
-        self.window = window
-        if value is None:
-            msg = f"map undefined at {point}, cannot restrict to window {window}"
-        else:
-            msg = f"map sends {point} to {value}, outside window {window}"
-        super().__init__(msg)
-
-
 class EvaluationError(SemitopError):
     """An element cannot be evaluated at a constrained point."""
 

@@ -37,7 +37,6 @@ from .topo import (
     mask_of,
     points_of,
     presentation_doc,
-    presentation_from_doc,
 )
 
 CLASS_ESCAPES = "class-escapes"
@@ -113,11 +112,14 @@ def _fires(target: EscapeTarget, classes, limit: int, x: int) -> bool:
     return classes[x] == classes[target.point] and x != target.point
 
 
-def target_fired(target: EscapeTarget, classes, limit: int) -> tuple[bool, int | None]:
-    """Whether the forced partition violates the target; witness is the least
-    offending element."""
-    witness = next((x for x in range(len(classes)) if _fires(target, classes, limit, x)), None)
-    return witness is not None, witness
+def fired_target(inst: CatalogInstance, classes) -> tuple[int, int] | None:
+    """The first target, in instance order, that the forced partition
+    violates, with its least witness; None when no target fires."""
+    for idx, target in enumerate(inst.targets):
+        for x in range(len(classes)):
+            if _fires(target, classes, inst.limit, x):
+                return idx, x
+    return None
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,6 @@ class NoObstruction:
     classes: tuple[int, ...]
 
 
-def _fire_on_branch(inst: CatalogInstance, classes) -> tuple[int, int] | None:
-    for idx, tgt in enumerate(inst.targets):
-        fired, witness = target_fired(tgt, classes, inst.limit)
-        if fired:
-            return idx, witness
-    return None
-
-
 def escape_certificate(inst: CatalogInstance):
     """Run the forcing argument over every admissible neighborhood of the
     limit point, in family order.
@@ -168,7 +162,7 @@ def escape_certificate(inst: CatalogInstance):
     branches = []
     for v in inst.admissible():
         classes, chain = forcing_closure(inst.presentation, inst.limit, v)
-        hit = _fire_on_branch(inst, classes)
+        hit = fired_target(inst, classes)
         if hit is None:
             return NoObstruction(
                 instance_id=inst.instance_id,
@@ -337,30 +331,6 @@ def instance_doc(inst: CatalogInstance) -> dict:
     }
 
 
-def instance_from_doc(doc) -> CatalogInstance:
-    try:
-        pres = presentation_from_doc(doc["presentation"])
-        n = pres.base.n
-        targets = tuple(
-            EscapeTarget(
-                mode=str(t["mode"]),
-                open_set=None if t["open"] is None else mask_of(_index(z, n) for z in t["open"]),
-                point=None if t["point"] is None else _index(t["point"], n),
-                description=str(t.get("description", "")),
-            )
-            for t in doc["targets"]
-        )
-        return CatalogInstance(
-            instance_id=str(doc["instance"]),
-            presentation=pres,
-            limit=_index(doc["limit"], n),
-            targets=targets,
-            notes=str(doc.get("notes", "")),
-        )
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise LoadError(f"malformed instance document: {exc}") from exc
-
-
 # -- structural checks ---------------------------------------------------------
 
 def right_simple_check(s: FinSemigroup) -> tuple[bool, int | None]:
@@ -381,24 +351,20 @@ def chain_finite_check(s: FinSemigroup) -> tuple[bool, tuple[int, ...]]:
         raise DomainError("chain finiteness is a semilattice notion")
     t = s.table
     below = [tuple(y for y in range(s.n) if y != x and t[y][x] == y) for x in range(s.n)]
-    memo: dict[int, tuple[int, ...]] = {}
 
-    def longest(x) -> tuple[int, ...]:
-        if x not in memo:
-            best = ()
-            for y in below[x]:
-                cand = longest(y)
-                if len(cand) > len(best) or (len(cand) == len(best) and cand < best):
-                    best = cand
-            memo[x] = (x,) + best
-        return memo[x]
+    def best_of(chains) -> tuple[int, ...]:
+        best = ()
+        for cand in chains:
+            if len(cand) > len(best) or (len(cand) == len(best) and cand < best):
+                best = cand
+        return best
 
-    best = ()
-    for x in range(s.n):
-        cand = longest(x)
-        if len(cand) > len(best) or (len(cand) == len(best) and cand < best):
-            best = cand
-    return True, best
+    # y < x makes below[y] a proper subset of below[x], so ascending size is a
+    # linear extension: every chain below x is known before x is reached
+    longest: list[tuple[int, ...]] = [()] * s.n
+    for x in sorted(range(s.n), key=lambda x: len(below[x])):
+        longest[x] = (x,) + best_of(longest[y] for y in below[x])
+    return True, best_of(longest)
 
 
 # -- the catalog ---------------------------------------------------------------

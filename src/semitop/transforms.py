@@ -5,15 +5,15 @@ Transformation on window n is a total map n -> n; a PartialPerm is an
 injective partial map whose domain and image live inside the window.  LazyMap
 is a small closed combinator language for window-evaluable elements of the
 full function space on the naturals and of the partial-bijection space;
-evaluation returns None where the map is undefined.
+evaluation returns None where the map is undefined.  Lazy maps are written
+to representation documents but never read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _index
-from .errors import DomainError, EvaluationError, LoadError, WindowEscapeError
+from .errors import DomainError, EvaluationError
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,6 @@ def compose(f, g):
             return Transformation(f.window, tuple(g.map[v] for v in f.map))
         vals = tuple(None if v is None else g.map[v] for v in f.map)
         return PartialPerm(f.window, vals)
-    if isinstance(f, LazyMap):
-        return Compose(f, g)
     raise DomainError(f"cannot compose {type(f).__name__}")
 
 
@@ -219,34 +217,6 @@ class PairBlock(LazyMap):
         return None if v is None else pair_index(i, v)
 
 
-@dataclass(frozen=True)
-class Compose(LazyMap):
-    first: LazyMap
-    second: LazyMap
-
-    def eval(self, x):
-        v = self.first.eval(x)
-        return None if v is None else self.second.eval(v)
-
-
-def lazy_eval(m: LazyMap, x: int) -> int | None:
-    if x < 0:
-        raise EvaluationError(f"negative point {x}")
-    return m.eval(x)
-
-
-def window_restrict(m: LazyMap, n: int) -> Transformation:
-    """Restriction to [0, n) as a total transformation; raises a
-    WindowEscapeError naming the first escaping or undefined point."""
-    vals = []
-    for x in range(n):
-        v = m.eval(x)
-        if v is None or v >= n:
-            raise WindowEscapeError(x, v, n)
-        vals.append(v)
-    return Transformation(n, tuple(vals))
-
-
 def agree_on_window(f, g, n) -> bool:
     return all(f.eval(x) == g.eval(x) for x in range(n))
 
@@ -277,32 +247,7 @@ def lazy_to_doc(m: LazyMap) -> dict:
                 "rules": [[r, lazy_to_doc(inner), r_out] for r, inner, r_out in m.rules]}
     if isinstance(m, PairBlock):
         return {"kind": "pairblock", "inners": [lazy_to_doc(i) for i in m.inners]}
-    if isinstance(m, Compose):
-        return {"kind": "compose", "first": lazy_to_doc(m.first), "second": lazy_to_doc(m.second)}
     raise DomainError(f"not a serializable lazy map: {type(m).__name__}")
-
-
-def lazy_from_doc(doc) -> LazyMap:
-    try:
-        kind = doc["kind"]
-        if kind == "identity":
-            return Identity()
-        if kind == "const":
-            return Const(_index(doc["value"]))
-        if kind == "table":
-            return FiniteTable(tuple((_index(k), None if v is None else _index(v)) for k, v in doc["entries"]),
-                               lazy_from_doc(doc["fallback"]))
-        if kind == "affine":
-            return AffineParity(_index(doc["modulus"]),
-                                tuple((_index(r), lazy_from_doc(inner), _index(r_out))
-                                      for r, inner, r_out in doc["rules"]))
-        if kind == "pairblock":
-            return PairBlock(tuple(lazy_from_doc(i) for i in doc["inners"]))
-        if kind == "compose":
-            return Compose(lazy_from_doc(doc["first"]), lazy_from_doc(doc["second"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LoadError(f"malformed lazy map document: {exc}") from exc
-    raise LoadError(f"unknown lazy map kind {kind!r}")
 
 
 # -- basic open sets ---------------------------------------------------------
@@ -312,7 +257,6 @@ IN = "IN"  # the space of partial bijections of the naturals
 
 U_ATOM = "U"        # (x, y) belongs to the graph
 W_DOM = "W"         # x is outside the domain
-W_IM = "Winv"       # x is outside the image
 
 
 @dataclass(frozen=True)
@@ -320,8 +264,10 @@ class BasicOpen:
     """A basic open set of one of the two target spaces.
 
     For NN the atoms are graph constraints (x, y) and the set is
-    {g : g(x) = y for all listed pairs}.  For IN each atom is one of
-    (U, x, y), (W, x), (Winv, x) from the canonical subbasis.
+    {g : g(x) = y for all listed pairs}.  For IN each atom is (U, x, y) or
+    (W, x) from the canonical subbasis: x maps to y, or x is outside the
+    domain.  The subbasis's image atoms are not represented, since the
+    separating opens of an audit never need one.
     """
 
     space: str
@@ -334,7 +280,7 @@ class BasicOpen:
             if self.space == NN:
                 if len(atom) != 2:
                     raise DomainError(f"NN atom must be a pair, got {atom!r}")
-            elif atom[0] not in (U_ATOM, W_DOM, W_IM):
+            elif atom[0] not in (U_ATOM, W_DOM):
                 raise DomainError(f"unknown IN atom {atom!r}")
 
 
@@ -348,37 +294,3 @@ def _value_at(h, x):
     if isinstance(h, LazyMap):
         return h.eval(x)
     raise DomainError(f"not an evaluable element: {type(h).__name__}")
-
-
-def basic_open_member(h, b: BasicOpen) -> bool:
-    """Exact membership of an element in a basic open set.
-
-    Raises EvaluationError when the element cannot decide a constraint, e.g.
-    a transformation window smaller than a mentioned point, or an image
-    constraint against a lazy map with no finite image description.
-    """
-    if b.space == NN:
-        if isinstance(h, PartialPerm):
-            raise EvaluationError("partial maps do not live in the total function space")
-        for x, y in b.atoms:
-            if _value_at(h, x) != y:
-                return False
-        return True
-    if isinstance(h, Transformation):
-        raise EvaluationError("total window maps do not live in the partial-bijection space")
-    for atom in b.atoms:
-        if atom[0] == U_ATOM:
-            _, x, y = atom
-            if _value_at(h, x) != y:
-                return False
-        elif atom[0] == W_DOM:
-            if _value_at(h, atom[1]) is not None:
-                return False
-        else:  # W_IM
-            x = atom[1]
-            if isinstance(h, PartialPerm):
-                if x in h.im():
-                    return False
-            else:
-                raise EvaluationError("image membership is not decidable for a lazy map")
-    return True

@@ -4,10 +4,15 @@ Everything here quantifies literally over the objects named in the
 definitions (all partitions, all open sets, all subsets), trading speed for
 directness, so the fast library paths can be cross-checked against them.
 Nothing in this module calls the library code under test except for plain
-data access (tables, open-set families, labels).
+data access (tables, open-set families, labels) and the point values of
+lazy maps.
 """
 
+from dataclasses import dataclass
 from itertools import product as iproduct
+
+from semitop.errors import EvaluationError
+from semitop.transforms import NN, U_ATOM, LazyMap, PartialPerm, Transformation
 
 
 def growth_vectors(n):
@@ -284,6 +289,42 @@ def separating_atoms_by_all_pairs(values):
     return atoms
 
 
+# -- lazy maps and basic opens --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Compose(LazyMap):
+    """The left-to-right composite of two lazy maps, evaluated point by point."""
+
+    first: LazyMap
+    second: LazyMap
+
+    def eval(self, x):
+        v = self.first.eval(x)
+        return None if v is None else self.second.eval(v)
+
+
+def basic_open_member(h, b):
+    """Membership of a window map or a lazy map in a basic open set, one atom
+    at a time.  Raises EvaluationError when the element does not live in b's
+    space or is a window transformation that cannot see a mentioned point."""
+    if isinstance(h, PartialPerm if b.space == NN else Transformation):
+        raise EvaluationError(f"a {type(h).__name__} does not live in {b.space}")
+
+    def value(x):
+        if isinstance(h, LazyMap):
+            return h.eval(x)
+        if x < h.window:
+            return h.map[x]
+        if isinstance(h, Transformation):
+            raise EvaluationError(f"transformation window {h.window} cannot see point {x}")
+        return None  # a window partial permutation is undefined beyond it
+
+    if b.space == NN:
+        return all(value(x) == y for x, y in b.atoms)
+    return all(value(atom[1]) == (atom[2] if atom[0] == U_ATOM else None) for atom in b.atoms)
+
+
 # -- shared-image transformation group laws ------------------------------------
 
 
@@ -355,3 +396,21 @@ def scattered_height_by_replay(n, opens):
         alive = alive - isolated
         steps += 1
     return steps
+
+
+# -- chains of the natural order -----------------------------------------------
+
+
+def longest_chain_by_search(table):
+    """The lexicographically least of the longest chains x0 > x1 > ... of a
+    semilattice's natural order (y <= x iff y*x = y), every chain listed."""
+    n = len(table)
+    best = ()
+    stack = [(x,) for x in range(n)]
+    while stack:
+        chain = stack.pop()
+        if len(chain) > len(best) or (len(chain) == len(best) and chain < best):
+            best = chain
+        top = chain[-1]
+        stack.extend(chain + (y,) for y in range(n) if y != top and table[y][top] == y)
+    return best

@@ -550,6 +550,19 @@ def test_deeply_nested_json_gives_one_error_line(tmp_path, capsys, argv):
     assert captured.err.startswith("error: invalid JSON") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("contents", [b"\xff\xfe{}", b"1" * 5000],
+                         ids=["utf16-bom", "int-digit-limit"])
+@pytest.mark.parametrize("argv", [
+    ["check", "assoc"], ["embed", "cayley"], ["obstruct", "exB", "-w", "4", "--replay"]])
+def test_undecodable_json_gives_one_error_line(tmp_path, capsys, argv, contents):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(contents)
+    assert main(argv + [str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["obstruct", "brandt", "-w", "41"], ["catalog", "-w", "41"]])
 def test_windows_above_the_bound_give_one_error_line(capsys, monkeypatch, argv):
     def no_table(w):

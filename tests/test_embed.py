@@ -59,7 +59,6 @@ from semitop.transforms import (
     Transformation,
     compose,
     identity_pp,
-    lazy_eval,
     pair_index,
     pp_from_pairs,
 )
@@ -118,11 +117,11 @@ def test_wagner_preston_domains_shrink_along_the_order():
 
 def test_embcl_map_values():
     e = embcl_map(pp_from_pairs(3, [(0, 2)]))
-    assert [lazy_eval(e, x) for x in range(5)] == [0, 3, 0, 0, 0]
+    assert [e.eval(x) for x in range(5)] == [0, 3, 0, 0, 0]
     empty = embcl_map(pp_from_pairs(2, []))
-    assert [lazy_eval(empty, x) for x in range(4)] == [0, 0, 0, 0]
+    assert [empty.eval(x) for x in range(4)] == [0, 0, 0, 0]
     ident = embcl_map(identity_pp(2))
-    assert [lazy_eval(ident, x) for x in range(4)] == [0, 1, 2, 0]
+    assert [ident.eval(x) for x in range(4)] == [0, 1, 2, 0]
 
 
 def test_embcl_rep_verifies_small():
@@ -136,9 +135,9 @@ def test_adjoin_embed_values_and_audit():
     base = cayley_right_regular(chain_semilattice(2))
     one, zero = adjoin_embed(base)
     assert one.source.n == 3 and zero.source.n == 3
-    assert [lazy_eval(one.images[0], x) for x in range(6)] == [0, 1, 0, 3, 4, 3]
-    assert [lazy_eval(one.images[-1], x) for x in range(6)] == [0, 1, 2, 3, 4, 5]
-    assert [lazy_eval(zero.images[-1], x) for x in range(6)] == [1, 1, 1, 1, 1, 1]
+    assert [one.images[0].eval(x) for x in range(6)] == [0, 1, 0, 3, 4, 3]
+    assert [one.images[-1].eval(x) for x in range(6)] == [0, 1, 2, 3, 4, 5]
+    assert [zero.images[-1].eval(x) for x in range(6)] == [1, 1, 1, 1, 1, 1]
     assert verify_embedding(one).ok and verify_embedding(zero).ok
     with pytest.raises(KindError):
         adjoin_embed(wagner_preston(inverse_structure(CATALOG["I2"])))
@@ -151,14 +150,14 @@ def test_product_embed_acts_blockwise():
     assert prod.source.n == 4 and prod.space == NN
     enc = prod.source.encode([1, 0])
     img = prod.images[enc]
-    assert [lazy_eval(img, pair_index(0, j)) for j in range(2)] == [
+    assert [img.eval(pair_index(0, j)) for j in range(2)] == [
         pair_index(0, 1), pair_index(0, 0)]
-    assert [lazy_eval(img, pair_index(1, j)) for j in range(2)] == [
+    assert [img.eval(pair_index(1, j)) for j in range(2)] == [
         pair_index(1, 0), pair_index(1, 0)]
-    assert lazy_eval(img, pair_index(2, 0)) == pair_index(2, 0)
+    assert img.eval(pair_index(2, 0)) == pair_index(2, 0)
     assert verify_embedding(prod).ok
     both = prod.source.encode([z2.source.identity, c2.source.identity])
-    assert all(lazy_eval(prod.images[both], x) == x for x in range(prod.window))
+    assert all(prod.images[both].eval(x) == x for x in range(prod.window))
 
 
 def test_clifford_decompose_structure():

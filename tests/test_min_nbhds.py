@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import min_nbhd_mask
+from oracles import basic_open_member, min_nbhd_mask
 from semitop.core import inverse_structure
 from semitop.embed import (
     EmbeddingReport,
@@ -36,7 +36,7 @@ from semitop.topo import (
     is_topology,
     points_of,
 )
-from semitop.transforms import IN, basic_open_member, lazy_extend_undefined
+from semitop.transforms import IN, lazy_extend_undefined
 
 FIXTURES = bundled_top_semigroups()
 CATALOG = dict(embedding_catalog())

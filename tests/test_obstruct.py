@@ -1,13 +1,15 @@
 """Forcing certificates for the non-embeddability catalog."""
 
 import json
+import sys
 from dataclasses import replace
 
 import pytest
 
 import semitop.core
 import semitop.obstruct
-from semitop.core import _UnionFind, canonical_classes
+from oracles import longest_chain_by_search
+from semitop.core import FinSemigroup, _UnionFind, canonical_classes, is_semilattice
 from semitop.errors import DomainError, LoadError, SizeError
 from semitop.obstruct import (
     CatalogInstance,
@@ -19,22 +21,23 @@ from semitop.obstruct import (
     certificate_from_doc,
     chain_finite_check,
     escape_certificate,
+    fired_target,
     forcing_closure,
     get_instance,
     instance_doc,
-    instance_from_doc,
     right_simple_check,
-    target_fired,
     verify_certificate,
 )
 from semitop.semigroups import (
     antichain_with_zero,
     chain_semilattice,
+    commutative_inverse_monoid_catalog,
     cyclic_group,
+    embedding_catalog,
     powerset_semilattice,
     right_zero,
 )
-from semitop.topo import points_of
+from semitop.topo import bundled_top_semigroups, mask_of, points_of, presentation_doc
 
 FAMILIES = ["exB", "odd_chain", "right_simple_zero:Z2", "brandt", "luke"]
 
@@ -122,11 +125,9 @@ def test_target_fired_witnesses():
     inst = get_instance("exB", 4)
     cert = escape_certificate(inst)
     for br in cert.branches:
-        tgt = inst.targets[br.target_index]
-        fired, wit = target_fired(
-            tgt, forcing_closure(inst.presentation, inst.limit, br.neighborhood)[0],
-            inst.limit)
-        assert fired and wit == br.witness
+        fired = fired_target(
+            inst, forcing_closure(inst.presentation, inst.limit, br.neighborhood)[0])
+        assert fired == (br.target_index, br.witness)
 
 
 def test_tampered_certificates_are_rejected():
@@ -209,15 +210,13 @@ def test_certificate_doc_round_trip():
         certificate_from_doc({"schema": 1})
 
 
-def test_instance_doc_round_trip():
+def test_instance_doc_records_the_instance():
     inst = get_instance("luke", 4)
     doc = json.loads(json.dumps(instance_doc(inst)))
-    again = instance_from_doc(doc)
-    assert again.instance_id == inst.instance_id
-    assert again.targets == inst.targets
-    assert again.presentation.families == inst.presentation.families
-    cert = escape_certificate(again)
-    assert verify_certificate(inst, cert) == (True, None)
+    assert (doc["instance"], doc["limit"]) == (inst.instance_id, inst.limit)
+    assert doc["presentation"] == json.loads(json.dumps(presentation_doc(inst.presentation)))
+    assert [(t["mode"], None if t["open"] is None else mask_of(t["open"]), t["point"])
+            for t in doc["targets"]] == [(t.mode, t.open_set, t.point) for t in inst.targets]
 
 
 def test_escape_target_validation():
@@ -245,6 +244,36 @@ def test_chain_finite_check_values():
     assert chain_finite_check(antichain_with_zero(3)) == (True, (0, 3))
     assert chain_finite_check(powerset_semilattice(2)) == (True, (3, 1, 0))
     assert chain_finite_check(chain_semilattice(5)) == (True, (4, 3, 2, 1, 0))
+
+
+def test_chain_finite_check_on_the_bundled_semilattices():
+    """The least longest chain, as found by enumerating every chain."""
+    sems = [s for _, s in embedding_catalog() + commutative_inverse_monoid_catalog()]
+    sems += [t.sem for _, t in bundled_top_semigroups()]
+    sems += [get_instance("odd_chain", w).presentation.base for w in range(4, 11)]
+    sems += [powerset_semilattice(3), antichain_with_zero(4)]
+    checked = 0
+    for s in filter(is_semilattice, sems):
+        assert chain_finite_check(s) == (True, longest_chain_by_search(s.table))
+        checked += 1
+    assert checked >= 20
+
+
+def test_chain_finite_check_does_not_recurse_per_element():
+    """Under max, element 0 is the top and the longest chain runs through
+    every element; it is found with far less stack than it has elements."""
+    n = 150
+    s = FinSemigroup(tuple(tuple(max(i, j) for j in range(n)) for i in range(n)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        ok, chain = chain_finite_check(s)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ok and chain == tuple(range(n))
 
 
 def test_window_bounds():

@@ -42,21 +42,11 @@ from semitop.semigroups import (
 from semitop.topo import (TopSpec, u2_check, u_check, TopSemigroup, up_set, continuity_check,
                          mask_of, points_of)
 from semitop.transforms import (
-    AffineParity,
-    Compose,
-    Const,
-    FiniteTable,
-    Identity,
-    PairBlock,
     PartialPerm,
     compose,
     invert,
-    lazy_eval,
-    lazy_from_doc,
-    lazy_to_doc,
     pair_index,
     unpair_index,
-    window_restrict,
 )
 
 SMALL = [(name, s) for name, s in embedding_catalog() if s.n <= 7]
@@ -209,28 +199,6 @@ partial_perms = st.integers(1, 5).flatmap(
                 v if k else None for v, k in zip(perm, keep))))))
 
 
-def lazy_maps(depth):
-    base = st.one_of(
-        st.builds(Identity),
-        st.integers(0, 6).map(Const),
-        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3)
-        .map(lambda kv: FiniteTable(tuple(dict(kv).items()), Identity())))
-    if depth == 0:
-        return base
-    inner = lazy_maps(depth - 1)
-    return st.one_of(
-        base,
-        st.tuples(inner, inner).map(lambda fg: Compose(*fg)),
-        st.lists(inner, min_size=1, max_size=2).map(lambda ms: PairBlock(tuple(ms))),
-        st.tuples(inner, inner).map(lambda fg: AffineParity(
-            2, ((0, fg[0], 0), (1, fg[1], 1)))))
-
-
-@given(lazy_maps(2), lazy_maps(2), lazy_maps(2), st.integers(0, 30))
-def test_lazy_composition_is_associative(f, g, h, x):
-    assert lazy_eval(Compose(Compose(f, g), h), x) == lazy_eval(Compose(f, Compose(g, h)), x)
-
-
 @st.composite
 def pperm_pairs(draw):
     n = draw(st.integers(1, 5))
@@ -266,27 +234,6 @@ def test_pairing_bijection(i, j):
 def test_unpairing_section(x):
     i, j = unpair_index(x)
     assert pair_index(i, j) == x
-
-
-@given(lazy_maps(2))
-def test_lazy_doc_round_trip(m):
-    again = lazy_from_doc(json.loads(json.dumps(lazy_to_doc(m))))
-    assert all(lazy_eval(again, x) == lazy_eval(m, x) for x in range(24))
-
-
-@given(lazy_maps(1), lazy_maps(1), st.integers(1, 8))
-def test_window_restrict_commutes_with_composition(f, g, win):
-    big = max(
-        [win] + [lazy_eval(f, x) + 1 for x in range(win)
-                 if lazy_eval(f, x) is not None])
-    try:
-        lhs = window_restrict(Compose(f, g), big)
-        inner = window_restrict(f, big)
-        outer = window_restrict(g, big)
-    except Exception:
-        return
-    assert tuple(lhs.map[x] for x in range(win)) == tuple(
-        outer.map[inner.map[x]] for x in range(win))
 
 
 # -- certificates ---------------------------------------------------------------

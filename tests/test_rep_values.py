@@ -13,6 +13,7 @@ injectivity keyed on a window map itself or on a lazy map's window values.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Compose
 from semitop.core import FinSemigroup, _greedy_generators
 from semitop.embed import RepresentationMap, cayley_right_regular, separating_opens
 from semitop.errors import TheoremViolationError
@@ -23,7 +24,6 @@ from semitop.transforms import (
     U_ATOM,
     W_DOM,
     BasicOpen,
-    Compose,
     FiniteTable,
     Identity,
     LazyMap,
