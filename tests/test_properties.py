@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (congruences_by_filter, left_stable, right_stable, u2_at_point_by_replay,
+from oracles import (Compose, congruences_by_filter, left_stable, right_stable, u2_at_point_by_replay,
                      u_at_point_by_replay)
 from semitop.core import (
     RIGHT,
@@ -43,8 +43,10 @@ from semitop.topo import (TopSpec, u2_check, u_check, TopSemigroup, up_set, cont
                          mask_of, points_of)
 from semitop.transforms import (
     PartialPerm,
+    agree_on_window,
     compose,
     invert,
+    lazy_extend_undefined,
     pair_index,
     unpair_index,
 )
@@ -217,6 +219,13 @@ def test_partial_composition_shrinks_support(pair):
     fg = compose(f, g)
     assert set(fg.dom()) <= set(f.dom())
     assert set(fg.im()) <= set(g.im())
+
+
+@given(pperm_pairs())
+def test_undefined_extension_respects_composition(pair):
+    f, g = pair
+    pointwise = Compose(lazy_extend_undefined(f), lazy_extend_undefined(g))
+    assert agree_on_window(lazy_extend_undefined(compose(f, g)), pointwise, f.window + 6)
 
 
 @given(partial_perms)

@@ -1,8 +1,11 @@
 """Window maps, lazy combinators, basic opens."""
 
+import itertools
+import json
+
 import pytest
 
-from oracles import basic_open_member
+from oracles import Compose, basic_open_member
 from semitop.errors import DomainError, EvaluationError
 from semitop.transforms import (
     IN,
@@ -17,6 +20,8 @@ from semitop.transforms import (
     PairBlock,
     PartialPerm,
     Transformation,
+    UNDEFINED,
+    _value_at,
     agree_on_window,
     compose,
     empty_pp,
@@ -25,6 +30,7 @@ from semitop.transforms import (
     invert,
     lazy_extend_identity,
     lazy_extend_undefined,
+    lazy_to_doc,
     pair_index,
     pp_from_pairs,
     unpair_index,
@@ -33,7 +39,6 @@ from semitop.transforms import (
 
 def all_partial_perms(n):
     """Every partial bijection of an n-point window, by brute force."""
-    import itertools
     out = []
     points = range(n)
     for r in range(n + 1):
@@ -138,6 +143,60 @@ def test_agree_on_window_handles_undefined():
     assert agree_on_window(f, g, 5)
     h = lazy_extend_identity(Transformation(2, (1, 0)))
     assert not agree_on_window(f, h, 3)
+
+
+def all_transformations(n):
+    return [Transformation(n, m) for m in itertools.product(range(n), repeat=n)]
+
+
+def test_lazy_extensions_respect_compose():
+    """Extending a window map past its window commutes with compose: the
+    window maps into itself, so a composite never leaves it."""
+    for maps, extend in ((all_transformations(3), lazy_extend_identity),
+                         (all_partial_perms(2), lazy_extend_undefined)):
+        for f in maps:
+            for g in maps:
+                pointwise = Compose(extend(f), extend(g))
+                assert agree_on_window(extend(compose(f, g)), pointwise, f.window + 4)
+
+
+def test_value_at_reads_each_kind_of_image():
+    t = Transformation(3, (2, 0, 1))
+    assert [_value_at(t, x) for x in range(3)] == [2, 0, 1]
+    with pytest.raises(EvaluationError):
+        _value_at(t, 3)
+    p = pp_from_pairs(3, [(1, 2)])
+    assert [_value_at(p, x) for x in range(5)] == [None, 2, None, None, None]
+    assert [_value_at(lazy_extend_identity(t), x) for x in range(5)] == [2, 0, 1, 3, 4]
+    assert _value_at(UNDEFINED, 7) is None
+    with pytest.raises(DomainError):
+        _value_at((2, 0, 1), 0)
+
+
+@pytest.mark.parametrize("m, doc", [
+    (Identity(), {"kind": "identity"}),
+    (Const(4), {"kind": "const", "value": 4}),
+    (FiniteTable(((0, 2), (5, None)), Const(0)),
+     {"kind": "table", "entries": [[0, 2], [5, None]],
+      "fallback": {"kind": "const", "value": 0}}),
+    (AffineParity(2, ((0, Identity(), 1), (1, Const(2), 0))),
+     {"kind": "affine", "modulus": 2,
+      "rules": [[0, {"kind": "identity"}, 1], [1, {"kind": "const", "value": 2}, 0]]}),
+    (PairBlock((Const(1), Identity())),
+     {"kind": "pairblock", "inners": [{"kind": "const", "value": 1}, {"kind": "identity"}]}),
+    (lazy_extend_undefined(pp_from_pairs(2, [(0, 1)])),
+     {"kind": "table", "entries": [[0, 1], [1, None]],
+      "fallback": {"kind": "affine", "modulus": 1, "rules": []}}),
+], ids=["identity", "const", "table", "affine", "pairblock", "undefined-extension"])
+def test_lazy_to_doc_writes_each_kind(m, doc):
+    assert json.loads(json.dumps(lazy_to_doc(m))) == doc
+
+
+def test_lazy_to_doc_refuses_a_composition_node():
+    """Representation documents hold no composition nodes; a composite is
+    written as the image it evaluates to."""
+    with pytest.raises(DomainError):
+        lazy_to_doc(PairBlock((Compose(Identity(), Const(2)),)))
 
 
 def test_basic_open_membership_nn():
