@@ -14,6 +14,7 @@ it).  ANSI color on the human output is opt-in via SEMITOP_COLOR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -426,7 +427,9 @@ def cmd_embed(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
     ap = argparse.ArgumentParser(
         prog="semitop",
         description="finite windows of topological-semigroup embedding arguments")

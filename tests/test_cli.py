@@ -522,6 +522,23 @@ def test_one_output_rule(tmp_path, capsys, command, flags):
         assert is_one_compact_line(stdout)
 
 
+@pytest.mark.parametrize("command", ["catalog", "obstruct", "check", "embed"])
+def test_successive_calls_share_no_parser_state(tmp_path, capsys, command):
+    # the parser is built once per process: --json and --out on one call
+    # must not carry over to the next call without them
+    argv, human = _output_rule_case(command, tmp_path)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    out.unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(human)
+    assert not out.exists()
+    assert main(argv + ["--json"]) == 0
+    assert is_one_compact_line(capsys.readouterr().out)
+    assert not out.exists()
+
+
 def is_one_compact_line(text):
     """The JSON writer's format: sorted keys, compact separators, one line."""
     return (text.count("\n") == 1

@@ -43,6 +43,7 @@ from semitop.errors import (
     MalformedTableError,
     SizeError,
 )
+from semitop.obstruct import get_instance
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
@@ -253,6 +254,16 @@ def test_meet_and_join_reject_different_bases():
                 combine(r1, r2)
 
 
+def _refines(p, x):
+    """p is contained in x: points that share a class of p share one of x."""
+    first = {}
+    return all(first.setdefault(cp, cx) == cx for cp, cx in zip(p, x))
+
+
+def _odd_chain(w):
+    return get_instance("odd_chain", w).presentation.base
+
+
 def test_enumerate_counts():
     assert len(enumerate_congruences(trivial_monoid())) == 1
     assert len(enumerate_congruences(cyclic_group(2), RIGHT)) == 2
@@ -262,12 +273,14 @@ def test_enumerate_counts():
 def test_enumerate_bounds():
     with pytest.raises(SizeError):
         enumerate_congruences(signed_antichain_with_zero(6))
-    with pytest.raises(SizeError):  # 877 right congruences, over the 512 limit
+    # 877 right congruences, over the 512 limit
+    with pytest.raises(SizeError, match=r"^congruence lattice exceeded 512 members$"):
         enumerate_congruences(right_zero(7))
 
 
 def test_enumerate_matches_partition_filter():
-    for name, s in commutative_inverse_monoid_catalog():
+    odd_chains = [(f"odd_chain{w}", _odd_chain(w)) for w in range(4, 8)]
+    for name, s in commutative_inverse_monoid_catalog() + odd_chains:
         for kind, two in ((RIGHT, False), (TWO_SIDED, True)):
             mine = [r.classes for r in enumerate_congruences(s, kind)]
             assert mine == congruences_by_filter(s.table, two_sided=two), (name, kind)
@@ -303,6 +316,37 @@ def test_enumerate_closes_each_pair_once(monkeypatch):
             calls.clear()
             enumerate_congruences(s, kind)
             assert 0 < len(calls) <= s.n * (s.n - 1) // 2
+
+
+def test_enumerate_skips_joins_that_change_nothing(monkeypatch):
+    # one join per (member, principal congruence) pair costs 23,040 joins
+    # on odd_chain w=9; adding the principal congruences one at a time,
+    # skipping the members that already contain one, needs a tenth of that
+    calls = []
+    join = core._join
+
+    def counting(x, p):
+        calls.append((x, p))
+        return join(x, p)
+
+    monkeypatch.setattr(core, "_join", counting)
+    for kind in (RIGHT, TWO_SIDED):
+        calls.clear()
+        assert len(enumerate_congruences(_odd_chain(9), kind)) == 512
+        assert 0 < len(calls) <= 2304
+        assert not any(_refines(p, x) for x, p in calls)
+
+
+def test_enumerate_odd_chain_gives_every_interval_partition():
+    # min on a chain: the congruences are the partitions into intervals,
+    # one for each subset of the w gaps, 512 at w=9 (exactly the limit)
+    for w in (8, 9):
+        for kind in (RIGHT, TWO_SIDED):
+            lattice = enumerate_congruences(_odd_chain(w), kind)
+            assert len(lattice) == 2 ** w
+            for rho in lattice:
+                c = rho.classes
+                assert all(c[x + 1] in (c[x], c[x] + 1) for x in range(w))
 
 
 def test_closure_idempotence_over_lattice():
@@ -357,7 +401,7 @@ def test_quotient_projection_is_homomorphism_with_kernel():
             for a in range(s.n):
                 for b in range(s.n):
                     assert proj[s.mul(a, b)] == q.mul(proj[a], proj[b])
-                    assert (proj[a] == proj[b]) == rho.same(a, b)
+                    assert (proj[a] == proj[b]) == (rho.classes[a] == rho.classes[b])
 
 
 def test_classify_vp_group_kind():
