@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import getitem, ne
+from operator import getitem, itemgetter, ne
 
 from .core import (
     FinSemigroup,
@@ -63,15 +63,19 @@ class RepresentationMap:
     before any image is evaluated), and a finite target a FinProduct.
     ``values`` is what the checks compare: each NN or IN image's values on
     ``window``, read as basic opens read them, or each finite image's
-    component tuple in the target.
+    component tuple in the target.  A Transformation or PartialPerm image
+    that covers the window gives a slice of its map (the map itself when
+    the lengths agree); a lazy image is evaluated point by point.
 
     When every value stays in the window (or is a hole, None), the value
     tuples compose as self-maps of a finite set, so the law on the pairs
     (a, g), g in a generating set of the source, gives it on all pairs by
     induction on the length of b as a product of generators; a finite
-    target is a semigroup, so the same holds there.  Otherwise, or when
-    that check fails, all pairs are scanned in order and the least failing
-    one is reported.  Every check is exhaustive.
+    target is a semigroup, so the same holds there.  In the window, those
+    pairs are read at C speed by one lookup per pair (see
+    _generators_compose).  Otherwise, or when that check fails, all pairs
+    are scanned in order by ``_composes``, the reference rule, and the
+    least failing one is reported.  Every check is exhaustive.
     """
 
     source: FinSemigroup | FinProduct
@@ -107,14 +111,17 @@ class RepresentationMap:
         if alien and any(isinstance(img, alien) for img in self.images):
             raise KindError(f"a {alien.__name__} image does not live in {self.space}")
         rows = self.source.table  # an oversized product refuses before any evaluation
+        win = self.window
         if self.space == FINITE:
             size = self.target.n
             if not all(type(img) is int and 0 <= img < size for img in self.images):
                 raise DomainError(f"a finite image must index the {size}-element target")
             values = tuple(map(self.target.decode, self.images))
         else:
-            values = tuple(tuple(_value_at(img, x) for x in range(self.window))
-                           for img in self.images)
+            values = tuple(
+                img.map[:win] if isinstance(img, (Transformation, PartialPerm))
+                and 0 <= win <= img.window else tuple(_value_at(img, x) for x in range(win))
+                for img in self.images)
         object.__setattr__(self, "values", values)
         seen = {}
         for i, v in enumerate(values):
@@ -124,12 +131,16 @@ class RepresentationMap:
                     f"not injective: elements {j} and {i} share an image")
         # the generator pairs decide; the ordered scan names a witness
         pairs = itertools.product(range(n), repeat=2)
-        win = self.window
-        if self.space == FINITE or all(v is None or 0 <= v < win
-                                       for vals in values for v in vals):
-            gens = self.source.generators
-            if all(self._composes(a, g) for a in range(n) for g in gens):
-                pairs = ()
+        gens = self.source.generators
+        if self.space == FINITE:
+            holds = all(self._composes(a, g) for a in range(n) for g in gens)
+        else:
+            points = set(itertools.chain.from_iterable(values))
+            points.discard(None)
+            holds = (all(0 <= v < win for v in points)
+                     and _generators_compose(values, rows, gens))
+        if holds:
+            pairs = ()
         for a, b in pairs:
             if not self._composes(a, b):
                 raise TheoremViolationError(f"homomorphism fails at ({a}, {b})")
@@ -146,6 +157,34 @@ class RepresentationMap:
         fb, win = self.images[b], self.window
         return tuple([None if v is None else vb[v] if 0 <= v < win else _value_at(fb, v)
                       for v in va]) == want
+
+
+def _gather(positions):
+    """A reader of a sequence at the given positions into a tuple.  It is
+    itemgetter(*positions), which reads at C speed, for two or more
+    positions; itemgetter alone gives a bare entry for one position and
+    refuses none."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple([seq[p] for p in positions])
+
+
+_HOLE_LAST = {None: -1}  # position of a value in a hole-padded tuple
+
+
+def _generators_compose(values, rows, gens) -> bool:
+    """(x)(fa*fg) == ((x)fa)fg for every a and every generator g, on value
+    tuples that stay in the window: one reader per a, built from a's values
+    with a hole at position -1, reads each generator's hole-padded values at
+    C speed.  It is the rule of RepresentationMap._composes on those values;
+    the readers live only for this call."""
+    padded = [values[g] + (None,) for g in gens]
+    for va, row in zip(values, rows):
+        read = _gather(map(_HOLE_LAST.get, va, va))
+        if list(map(read, padded)) != [values[row[g]] for g in gens]:
+            return False
+    return True
 
 
 def representation_doc(rep: RepresentationMap) -> dict:
@@ -182,17 +221,11 @@ def cayley_right_regular(s: FinSemigroup) -> RepresentationMap:
     the carrier alone).
     """
     n = s.n
-    if s.identity is not None:
-        images = tuple(
-            Transformation(n, tuple(s.mul(i, a) for i in range(n)))
-            for a in range(n)
-        )
+    if s.identity is not None:  # column a of the table is the image of a
+        images = tuple(Transformation(n, col) for col in s.columns)
         win = n
     else:
-        images = tuple(
-            Transformation(n + 1, tuple(s.mul(i, a) for i in range(n)) + (a,))
-            for a in range(n)
-        )
+        images = tuple(Transformation(n + 1, col + (a,)) for a, col in enumerate(s.columns))
         win = n + 1
     return RepresentationMap(source=s, images=images, space=NN, window=win,
                              name=f"cayley_{s.name or n}")
@@ -200,14 +233,21 @@ def cayley_right_regular(s: FinSemigroup) -> RepresentationMap:
 
 def wagner_preston(inv: InverseStructure) -> RepresentationMap:
     """The classical faithful action of an inverse semigroup by partial
-    bijections: a acts on {x : x*(a*a^-1) = x} by right multiplication."""
+    bijections: a acts on {x : x*(a*a^-1) = x} by right multiplication.
+
+    The domain of each idempotent e is read once, from column e, as a
+    reader of the points x with x*e == x that gives a hole (position -1)
+    elsewhere; the image of a is column a, hole-padded, through the reader
+    of a*a^-1."""
     n = inv.n
-    t = inv.base.table
+    t, cols = inv.base.table, inv.base.columns
+    restrict = {}
     images = []
     for a in range(n):
         e = t[a][inv.inv[a]]
-        images.append(PartialPerm(n, tuple(
-            t[x][a] if t[x][e] == x else None for x in range(n))))
+        if e not in restrict:
+            restrict[e] = _gather([x if xe == x else -1 for x, xe in enumerate(cols[e])])
+        images.append(PartialPerm(n, restrict[e](cols[a] + (None,))))
     return RepresentationMap(source=inv.base, images=tuple(images), space=IN, window=n,
                              name=f"wp_{inv.base.name or n}")
 

@@ -87,14 +87,20 @@ def signed_antichain_with_zero(w) -> FinSemigroup:
 def composition_table(maps):
     """Indices of the left-to-right composites of window maps, read off
     their value tuples: x goes to g[f[x]], and a hole (None) stays a hole.
-    Raises DomainError when a composite is not among the maps."""
+
+    The maps are composed through the columns of their hole-padded value
+    tuples: ``cols[v]`` lists every map's value at v, and ``cols[-1]``
+    only holes, so zipping the columns that f names lists f's composite
+    with every g at once, at C speed.  Raises DomainError when a composite
+    is not among the maps."""
     index = {m.map: i for i, m in enumerate(maps)}
-    padded = [m.map + (None,) for m in maps]  # position -1 reads the hole
+    cols = list(zip(*[m.map + (None,) for m in maps]))
     table = []
     for f in maps:
-        at = [-1 if v is None else v for v in f.map]
+        at = [cols[-1 if v is None else v] for v in f.map]
+        composites = zip(*at) if at else [()] * len(maps)  # window 0: all empty
         try:
-            table.append(tuple(index[tuple(map(g.__getitem__, at))] for g in padded))
+            table.append(tuple(map(index.__getitem__, composites)))
         except KeyError:
             raise DomainError("not closed under composition") from None
     return tuple(table)

@@ -7,7 +7,7 @@ import pytest
 
 from semitop import embed
 from semitop.cli import main
-from semitop.core import Congruence, semigroup_doc
+from semitop.core import Congruence, FinSemigroup, semigroup_doc
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
@@ -15,6 +15,7 @@ from semitop.semigroups import (
     full_transformation_monoid,
     left_zero,
     symmetric_inverse_monoid,
+    trivial_monoid,
 )
 from semitop.transforms import PairBlock
 from semitop.obstruct import certificate_doc, escape_certificate, get_instance
@@ -346,6 +347,37 @@ def test_lazy_embed_report_matches_the_pinned_digest(tmp_path, kind):
     out = tmp_path / "report.json"
     assert main(["embed", kind, f, "--json", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EMBED_DIGESTS[kind]
+
+
+# sha256 of the `embed --json --out` bytes at the smallest sizes, where a
+# lookup reads fewer than two positions: transformation groups on zero and
+# on one point, and the one-element semigroup with and without a declared
+# identity (without one, the right-regular action adjoins a point)
+SMALL_EMBED_DIGESTS = {
+    ("cayley", "one"): "3070e7341ca4ba9ac048ef6b16ab0e98c9416ed1c6bcfcccc4aa54a056eb8393",
+    ("cayley", "trivial"): "bb00b3e27b088d5be7f8ff9b9948887d15ceb3e67dec06344ecc5bb122725515",
+    ("group-restrict", "window0"):
+        "9a29f04ecc8065c3b60bfbe09d95ba5b611423ea0a0140616218b5382c965f40",
+    ("group-restrict", "window1"):
+        "37179cf8c783e77fb767f641ef9a0644aa7663f1b1f9aece6e441764b1bf1ddd",
+    ("wp", "one"): "81a0e872740b80dcb5fb207b82d47aa252e01cd425504d757e9b348365387740",
+    ("wp", "trivial"): "384f36d771b44fb5b3ca5855be5f348aee0e7803b96d1315669ddfeed85735d6",
+}
+SMALL_EMBED_INPUTS = {
+    "one": semigroup_doc(FinSemigroup(((0,),))),
+    "trivial": semigroup_doc(trivial_monoid()),
+    "window0": {"kind": "transformation_group", "window": 0, "maps": [[]]},
+    "window1": {"kind": "transformation_group", "window": 1, "maps": [[0]]},
+}
+
+
+@pytest.mark.parametrize("kind,name", sorted(SMALL_EMBED_DIGESTS))
+def test_smallest_embed_reports_match_the_pinned_digest(tmp_path, capsys, kind, name):
+    f = write(tmp_path, f"{name}.json", SMALL_EMBED_INPUTS[name])
+    out = tmp_path / "report.json"
+    assert main(["embed", kind, f, "--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_EMBED_DIGESTS[kind, name]
 
 
 def test_embed_clifford_product_and_group_restrict(tmp_path, capsys):

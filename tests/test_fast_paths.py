@@ -26,11 +26,12 @@ from oracles import growth_vectors, left_stable, right_stable
 from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
                           _light_holds, _light_holds_on, _Support, _translate_holds, _UnionFind,
                           canonical_classes, congruence_closure)
-from semitop.errors import KindError
+from semitop.errors import DomainError, KindError
 from semitop.obstruct import escape_certificate, forcing_closure, get_instance, verify_certificate
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
+    composition_table,
     cyclic_group,
     embedding_catalog,
     full_transformation_monoid,
@@ -41,7 +42,7 @@ from semitop.semigroups import (
     trivial_monoid,
 )
 from semitop.topo import points_of
-from semitop.transforms import compose
+from semitop.transforms import PartialPerm, Transformation, compose
 
 CATALOG_IDS = ["exB", "odd_chain", "right_simple_zero:Z2", "right_simple_zero:R2",
                "right_simple_zero:S3", "brandt", "luke"]
@@ -396,14 +397,46 @@ def test_union_find_matches_the_naive_partition(case):
             assert (uf.label[a] == uf.label[b]) == (b in block[a])
 
 
-@pytest.mark.parametrize("build", [full_transformation_monoid, symmetric_inverse_monoid])
-@pytest.mark.parametrize("n", [1, 2, 3])
+COMPOSITION_CASES = ([(n, full_transformation_monoid) for n in range(4)]
+                     + [(n, symmetric_inverse_monoid) for n in range(5)])
+
+
+@pytest.mark.parametrize("n,build", COMPOSITION_CASES,
+                         ids=[f"{n}-{build.__name__}" for n, build in COMPOSITION_CASES])
 def test_composition_table_matches_compose(build, n):
-    """The value-tuple table rule against `compose`, which builds and
-    validates each composite map."""
+    """The table built through the columns of the maps against `compose`,
+    which builds and validates each composite map, looked up by index; on
+    zero points every composite is the empty map."""
     s, maps = build(n)
     index = {m: i for i, m in enumerate(maps)}
     assert s.table == tuple(tuple(index[compose(f, g)] for g in maps) for f in maps)
+
+
+SMALLEST_TABLES = [  # (n, build, table, identity, the maps' value tuples)
+    (0, full_transformation_monoid, ((0,),), 0, [()]),
+    (1, full_transformation_monoid, ((0,),), 0, [(0,)]),
+    (0, symmetric_inverse_monoid, ((0,),), 0, [()]),
+    (1, symmetric_inverse_monoid, ((0, 0), (0, 1)), 1, [(None,), (0,)]),
+]
+
+
+@pytest.mark.parametrize("n,build,table,identity,values", SMALLEST_TABLES,
+                         ids=[f"{case[0]}-{case[1].__name__}" for case in SMALLEST_TABLES])
+def test_smallest_monoid_tables_are_pinned(n, build, table, identity, values):
+    s, maps = build(n)
+    assert (s.table, s.identity, [m.map for m in maps]) == (table, identity, values)
+
+
+@pytest.mark.parametrize("maps", [
+    [Transformation(3, (1, 2, 0)), Transformation(3, (0, 1, 2))],  # misses the square
+    [PartialPerm(2, (1, None)), PartialPerm(2, (0, 1))],            # misses the empty map
+    [Transformation(2, (0, 0)), Transformation(2, (1, 0))],         # misses (1, 1)
+], ids=["cycle", "partial", "constant"])
+def test_composition_table_refuses_a_set_not_closed(maps):
+    index = {m.map: i for i, m in enumerate(maps)}
+    assert any(compose(f, g).map not in index for f in maps for g in maps)
+    with pytest.raises(DomainError, match="^not closed under composition$"):
+        composition_table(maps)
 
 
 def light_by_rows(rows, g):

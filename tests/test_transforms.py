@@ -90,6 +90,24 @@ def test_invert_examples_and_sandwich():
         assert invert(invert(f)) == f
 
 
+@pytest.mark.parametrize("cls,window,values,message", [
+    (Transformation, 2, (0,), "map of length 1 on window 2"),
+    (Transformation, 2, (0, 2), "value 2 at 1 outside window 2"),
+    (Transformation, 2, (-1, 0), "value -1 at 0 outside window 2"),
+    (Transformation, 3, (1, 5, 3), "value 5 at 1 outside window 3"),
+    (PartialPerm, 1, (None, None), "map of length 2 on window 1"),
+    (PartialPerm, 3, (None, 3, 0), "value 3 at 1 outside window 3"),
+    (PartialPerm, 2, (1, 1), "not injective: value 1 repeats"),
+    (PartialPerm, 3, (0, 0, 5), "not injective: value 0 repeats"),
+    (PartialPerm, 3, (5, 0, 0), "value 5 at 0 outside window 3"),
+])
+def test_bad_maps_name_their_first_bad_point(cls, window, values, message):
+    """A bad map is refused with the first bad point, read left to right."""
+    with pytest.raises(DomainError) as exc:
+        cls(window, values)
+    assert str(exc.value) == message
+
+
 def test_dom_im_shrink_under_composition():
     maps = all_partial_perms(3)
     for f in maps[::7]:
