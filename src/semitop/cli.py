@@ -111,7 +111,7 @@ def _emit(args, doc, lines):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             return json.load(fh)
     except (ValueError, RecursionError) as exc:  # also non-UTF-8 bytes, over-long integers
         raise LoadError(f"invalid JSON in {path}: {exc}") from exc
@@ -468,6 +468,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # a label the locale cannot encode is escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

@@ -277,9 +277,6 @@ class InverseStructure:
     def n(self):
         return self.base.n
 
-    def mul(self, a, b):
-        return self.base.table[a][b]
-
 
 def inverse_structure(s: FinSemigroup):
     """Return the InverseStructure of s, or NotInverse with a witness element
@@ -451,10 +448,6 @@ class Congruence:
         for x, cx in enumerate(self.classes):
             out[cx].append(x)
         return tuple(tuple(b) for b in out)
-
-    def pairs(self):
-        n = self.base.n
-        return tuple((a, b) for a in range(n) for b in range(a + 1, n) if self.classes[a] == self.classes[b])
 
 
 def diagonal(s: FinSemigroup, kind=RIGHT) -> Congruence:
@@ -767,8 +760,8 @@ def parse_semigroup(doc) -> FinSemigroup:
     return s
 
 
-def semigroup_doc(s: FinSemigroup, include_inverse=False) -> dict:
-    doc = {
+def semigroup_doc(s: FinSemigroup) -> dict:
+    return {
         "schema": 1,
         "name": s.name,
         "elements": list(s.names) if s.names else [str(i) for i in range(s.n)],
@@ -776,9 +769,4 @@ def semigroup_doc(s: FinSemigroup, include_inverse=False) -> dict:
         "identity": s.identity,
         "inverse": None,
     }
-    if include_inverse:
-        inv = inverse_structure(s)
-        if isinstance(inv, InverseStructure):
-            doc["inverse"] = list(inv.inv)
-    return doc
 

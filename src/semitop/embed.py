@@ -43,8 +43,7 @@ from .transforms import (
     _value_at,
     compose,
     invert,
-    lazy_extend_identity,
-    lazy_extend_undefined,
+    lazy_extend,
     lazy_to_doc,
     pair_index,
 )
@@ -258,16 +257,6 @@ def preserves_inversion(rep: RepresentationMap, inv: InverseStructure) -> bool:
     return all(invert(rep.images[a]) == rep.images[inv.inv[a]] for a in range(inv.n))
 
 
-def _as_lazy(img):
-    if isinstance(img, Transformation):
-        return lazy_extend_identity(img)
-    if isinstance(img, PartialPerm):
-        return lazy_extend_undefined(img)
-    if isinstance(img, LazyMap):
-        return img
-    raise DomainError(f"cannot view {type(img).__name__} as a lazy map")
-
-
 # measured so that `semitop embed product` at either bound stays under 5 s
 PRODUCT_VALUES_BOUND = 2 ** 20
 PRODUCT_READS_BOUND = 2 ** 24
@@ -302,7 +291,7 @@ def product_embed(reps) -> RepresentationMap:
         raise SizeError(f"will not check {prod.n} images against {len(prod.generators)} "
                         f"generators on a {win}-point window; the bound is "
                         f"{PRODUCT_READS_BOUND} value reads")
-    inners = [tuple(_as_lazy(img) for img in r.images) for r in reps]
+    inners = [tuple(lazy_extend(img) for img in r.images) for r in reps]
     images = tuple(
         PairBlock(tuple(inners[i][p] for i, p in enumerate(prod.decode(x))))
         for x in range(prod.n)
@@ -328,7 +317,7 @@ def adjoin_embed(rep: RepresentationMap) -> tuple[RepresentationMap, Representat
     if not isinstance(s, FinSemigroup):
         raise DomainError("adjoining needs a plain finite semigroup source")
     primed = tuple(
-        FiniteTable(((1, 1),), AffineParity(2, ((0, _as_lazy(img), 0), (1, Const(1), 1))))
+        FiniteTable(((1, 1),), AffineParity(2, ((0, lazy_extend(img), 0), (1, Const(1), 1))))
         for img in rep.images
     )
     win = max(8, 2 * rep.window + 2)

@@ -146,10 +146,6 @@ class TopSpec:
         return TopSpec(n, frozenset(range(_carrier(n) + 1)))
 
     @staticmethod
-    def indiscrete(n) -> "TopSpec":
-        return TopSpec(n, frozenset({0, _carrier(n)}))
-
-    @staticmethod
     def generated(n, subbasis) -> "TopSpec":
         """Close a subbasis under finite intersection and arbitrary union."""
         full = _carrier(n)
@@ -157,9 +153,6 @@ class TopSpec:
 
     def opens_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.opens))
-
-    def is_open(self, mask) -> bool:
-        return mask in self.opens
 
     def interior(self, mask) -> int:
         return mask_of(x for x, v in enumerate(self.nbhds) if (mask >> x) & 1 and not v & ~mask)
@@ -287,14 +280,12 @@ class DitopReport:
     failure: tuple | None  # (x, escaping element), least such
 
 
-def _ditop_core(ts: TopSemigroup, inv: InverseStructure | None, weak: bool) -> DitopReport:
+def _ditop_core(ts: TopSemigroup, weak: bool) -> DitopReport:
     s = ts.sem
-    if inv is None:
-        found = inverse_structure(s)
-        if not isinstance(found, InverseStructure):
-            raise DomainError(f"not an inverse semigroup: element {found.witness} "
-                              f"has {found.inverse_count} inverses")
-        inv = found
+    inv = inverse_structure(s)
+    if not isinstance(inv, InverseStructure):
+        raise DomainError(f"not an inverse semigroup: element {inv.witness} "
+                          f"has {inv.inverse_count} inverses")
     inv_ok, inv_wit = inversion_continuity_check(ts, inv)
     nb = ts.top.nbhds
     emask = mask_of(inv.idempotents)
@@ -320,18 +311,18 @@ def _ditop_core(ts: TopSemigroup, inv: InverseStructure | None, weak: bool) -> D
     return DitopReport(inv_ok, weak, inv_ok, inv_wit, None)
 
 
-def ditopological_check(ts: TopSemigroup, inv: InverseStructure | None = None) -> DitopReport:
+def ditopological_check(ts: TopSemigroup) -> DitopReport:
     """Neighborhood-factorization property of inverse topological semigroups:
     every x and open O around it admit opens U around x and W around x*x^-1
     with {s : s*s^-1 in W, some e in W meets E(S) with e*s in U} inside O.
     Requires continuous inversion."""
-    return _ditop_core(ts, inv, weak=False)
+    return _ditop_core(ts, weak=False)
 
 
-def weakly_ditopological_check(ts: TopSemigroup, inv: InverseStructure | None = None) -> DitopReport:
+def weakly_ditopological_check(ts: TopSemigroup) -> DitopReport:
     """Same as ditopological_check with the extra constraint set
     {s : s^-1*s in V} for a neighborhood V of x^-1*x; a weaker requirement."""
-    return _ditop_core(ts, inv, weak=True)
+    return _ditop_core(ts, weak=True)
 
 
 def enumerate_clopen_ideals(ts: TopSemigroup) -> tuple[int, ...]:
@@ -385,11 +376,9 @@ def u2_check(ts: TopSemigroup, x) -> tuple[bool, tuple | None]:
     return False, None
 
 
-def cb_derivative(spec: TopSpec, subset: int | None = None) -> int:
-    """Non-isolated points of the subspace on `subset` (default: the whole
-    carrier)."""
-    a = ((1 << spec.n) - 1) if subset is None else subset
-    return mask_of(x for x in points_of(a) if spec.nbhds[x] & a != 1 << x)
+def cb_derivative(spec: TopSpec, subset: int) -> int:
+    """Non-isolated points of the subspace on `subset`."""
+    return mask_of(x for x in points_of(subset) if spec.nbhds[x] & subset != 1 << x)
 
 
 def scattered_height(spec: TopSpec) -> int | None:
@@ -484,20 +473,8 @@ class TruncatedPresentation:
                 return fam
         raise DomainError(f"{p} is not a limit point")
 
-    def min_nbhd(self, x) -> int:
-        return self.nbhds[x]
-
     def is_open(self, mask) -> bool:
         return holds_nbhds(self.nbhds, mask)
-
-    def to_top_spec(self) -> TopSpec:
-        """Materialize the presented topology: a set is open when every limit
-        point inside it keeps a whole admissible neighborhood inside it, so
-        the opens are the unions of minimal neighborhoods."""
-        n = self.base.n
-        if n > 16:
-            raise DomainError(f"cannot materialize 2^{n} subsets; carrier too large")
-        return TopSpec(n, _unions(self.nbhds))
 
 
 def presentation_continuity_check(pres: TruncatedPresentation) -> tuple[bool, tuple | None]:
@@ -569,14 +546,10 @@ def congruence_basis_check(obj) -> BasisReport:
                 if nb[y] & ~masks[rho.classes[y]]:
                     reason = f"class of {s.label(y)} is not open"
                     break
-            if reason is None:
-                cls = masks[rho.classes[x0]]
-                if cls & ~nbx0:
-                    z = points_of(cls & ~nbx0)[0]
-                    reason = (f"all classes open but {s.label(z)} is forced into "
-                              f"the class of {s.label(x0)}")
-                else:
-                    reason = "separates the failing point (unreachable)"
+            if reason is None:  # rho contains mu, so [x0] escapes N_x0 as [x0]_mu does
+                z = points_of(masks[rho.classes[x0]] & ~nbx0)[0]
+                reason = (f"all classes open but {s.label(z)} is forced into "
+                          f"the class of {s.label(x0)}")
             rows.append((rho.classes, reason))
         candidates = tuple(rows) if rows else None
     return BasisReport(not failures, mu, tuple(failures), candidates)

@@ -33,10 +33,6 @@ class Transformation:
         return self.map[x]
 
 
-def identity_transformation(n) -> Transformation:
-    return Transformation(n, tuple(range(n)))
-
-
 @dataclass(frozen=True)
 class PartialPerm:
     """Injective partial map; ``map[x] is None`` marks undefined points."""
@@ -61,31 +57,11 @@ class PartialPerm:
     def __call__(self, x):
         return self.map[x]
 
-    def dom(self) -> tuple[int, ...]:
-        return tuple(x for x, v in enumerate(self.map) if v is not None)
-
     def im(self) -> tuple[int, ...]:
         return tuple(sorted(v for v in self.map if v is not None))
 
     def graph(self) -> tuple[tuple[int, int], ...]:
         return tuple((x, v) for x, v in enumerate(self.map) if v is not None)
-
-
-def pp_from_pairs(n, pairs) -> PartialPerm:
-    vals: list[int | None] = [None] * n
-    for x, y in pairs:
-        if vals[x] is not None:
-            raise DomainError(f"point {x} mapped twice")
-        vals[x] = y
-    return PartialPerm(n, tuple(vals))
-
-
-def identity_pp(n) -> PartialPerm:
-    return PartialPerm(n, tuple(range(n)))
-
-
-def empty_pp(n) -> PartialPerm:
-    return PartialPerm(n, (None,) * n)
 
 
 def compose(f, g):
@@ -221,17 +197,19 @@ def agree_on_window(f, g, n) -> bool:
     return all(f.eval(x) == g.eval(x) for x in range(n))
 
 
-def lazy_extend_identity(t: Transformation) -> LazyMap:
-    """View a window transformation inside the full function space by fixing
-    every point beyond the window; this respects composition because the
-    window maps into itself."""
-    return FiniteTable(tuple((x, t.map[x]) for x in range(t.window)), Identity())
-
-
-def lazy_extend_undefined(p: PartialPerm) -> LazyMap:
-    """View a window partial permutation inside the partial-bijection space by
-    leaving everything beyond the window undefined."""
-    return FiniteTable(tuple((x, p.map[x]) for x in range(p.window)), UNDEFINED)
+def lazy_extend(img) -> LazyMap:
+    """View an image as a lazy map; a lazy map is itself.  A window
+    transformation goes into the full function space by fixing every point
+    beyond the window, which respects composition because the window maps
+    into itself.  A window partial permutation goes into the
+    partial-bijection space by leaving everything beyond the window
+    undefined."""
+    if isinstance(img, LazyMap):
+        return img
+    if isinstance(img, (Transformation, PartialPerm)):
+        fallback = Identity() if isinstance(img, Transformation) else UNDEFINED
+        return FiniteTable(tuple(enumerate(img.map)), fallback)
+    raise DomainError(f"cannot view {type(img).__name__} as a lazy map")
 
 
 def lazy_to_doc(m: LazyMap) -> dict:

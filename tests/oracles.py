@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from semitop.errors import EvaluationError
+from semitop.topo import TopSpec
 from semitop.transforms import NN, U_ATOM, LazyMap, PartialPerm, Transformation
 
 
@@ -414,3 +415,46 @@ def longest_chain_by_search(table):
         top = chain[-1]
         stack.extend(chain + (y,) for y in range(n) if y != top and table[y][top] == y)
     return best
+
+
+# -- constructors and readers the tests share ----------------------------------
+# Unlike the references above, the constructors build library values, so the
+# library checks each map they return.
+
+
+def pp_from_pairs(n, pairs):
+    """The partial permutation of an n-point window with the given graph."""
+    vals = [None] * n
+    for x, y in pairs:
+        if vals[x] is not None:
+            raise ValueError(f"point {x} mapped twice")
+        vals[x] = y
+    return PartialPerm(n, tuple(vals))
+
+
+def identity_pp(n):
+    return PartialPerm(n, tuple(range(n)))
+
+
+def empty_pp(n):
+    return PartialPerm(n, (None,) * n)
+
+
+def identity_transformation(n):
+    return Transformation(n, tuple(range(n)))
+
+
+def indiscrete(n):
+    return TopSpec(n, {0, (1 << n) - 1})
+
+
+def domain(f):
+    """The points where a partial permutation is defined, ascending."""
+    return tuple(x for x, v in enumerate(f.map) if v is not None)
+
+
+def same_class_pairs(classes):
+    """The pairs a < b of one class of a class vector: the pairs of the
+    congruence it describes, without its diagonal."""
+    n = len(classes)
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n) if classes[a] == classes[b])

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semitop
 from semitop import embed
 from semitop.cli import main
 from semitop.core import Congruence, FinSemigroup, semigroup_doc
@@ -610,6 +615,24 @@ def test_undecodable_json_gives_one_error_line(tmp_path, capsys, argv, contents)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: invalid JSON") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("encode", [
+    lambda doc: json.dumps(doc, ensure_ascii=False).encode("utf-8"),
+    lambda doc: json.dumps(doc).encode("ascii")], ids=["utf-8", "ascii-escaped"])
+def test_non_ascii_labels_under_the_c_locale(tmp_path, encode):
+    """An input is read as UTF-8 whatever the locale, and a label that stdout
+    cannot encode is escaped, so neither form ends in a traceback."""
+    doc = semigroup_doc(FinSemigroup(((0, 0), (0, 1)), names=("\u00e9", "b")))
+    path = tmp_path / "chain.json"
+    path.write_bytes(encode(doc))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(semitop.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "semitop.cli", "check", "chain-finite",
+                           str(path)], env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"chain-finite: PASS\n  longest chain: b > \\xe9\n"
 
 
 @pytest.mark.parametrize("argv", [["obstruct", "brandt", "-w", "41"], ["catalog", "-w", "41"]])

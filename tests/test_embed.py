@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import law_replay
+from oracles import domain, identity_pp, law_replay, pp_from_pairs
 from semitop import embed
 from semitop.core import (
     NotInverse,
@@ -53,14 +53,11 @@ from semitop.topo import TopSpec, bundled_top_semigroups
 from semitop.transforms import (
     IN,
     NN,
-    U_ATOM,
     BasicOpen,
     PartialPerm,
     Transformation,
     compose,
-    identity_pp,
     pair_index,
-    pp_from_pairs,
 )
 
 CATALOG = dict(embedding_catalog())
@@ -110,7 +107,7 @@ def test_wagner_preston_domains_shrink_along_the_order():
     rep = wagner_preston(inv)
     t = s.table
     for a in range(s.n):
-        dom = set(rep.images[a].dom())
+        dom = set(domain(rep.images[a]))
         e = t[a][inv.inv[a]]
         assert dom == {x for x in range(s.n) if t[x][e] == x}
 

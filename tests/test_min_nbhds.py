@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import basic_open_member, min_nbhd_mask
+from oracles import basic_open_member, indiscrete, min_nbhd_mask
 from semitop.core import inverse_structure
 from semitop.embed import (
     EmbeddingReport,
@@ -36,7 +36,7 @@ from semitop.topo import (
     is_topology,
     points_of,
 )
-from semitop.transforms import IN, lazy_extend_undefined
+from semitop.transforms import IN, lazy_extend
 
 FIXTURES = bundled_top_semigroups()
 CATALOG = dict(embedding_catalog())
@@ -82,7 +82,8 @@ def test_nbhds_match_the_open_family_scan_on_fixtures():
         top = ts.top
         assert top.nbhds == tuple(min_nbhd_mask(top.opens, top.n, x) for x in range(top.n)), name
     for iid in SMALL_CATALOG:
-        spec = get_instance(iid, 4).presentation.to_top_spec()
+        pres = get_instance(iid, 4).presentation
+        spec = TopSpec.generated(pres.base.n, pres.nbhds)
         assert spec.nbhds == tuple(min_nbhd_mask(spec.opens, spec.n, x) for x in range(spec.n))
 
 
@@ -130,7 +131,7 @@ def test_presentation_opens_match_the_family_rule_on_the_catalog(instance_id):
     pres = get_instance(instance_id, 4).presentation
     want = opens_by_subset_scan(pres)
     assert all(pres.is_open(m) == (m in want) for m in range(1 << pres.base.n))
-    assert pres.to_top_spec().opens == want
+    assert TopSpec.generated(pres.base.n, pres.nbhds).opens == want
 
 
 def _descending(point, raw, extra):
@@ -199,7 +200,7 @@ def open_two_limit_presentations(draw):
 def test_presentation_opens_match_the_family_rule_on_drawn_presentations(pres):
     want = opens_by_subset_scan(pres)
     assert all(pres.is_open(m) == (m in want) for m in range(1 << pres.base.n))
-    spec = pres.to_top_spec()
+    spec = TopSpec.generated(pres.base.n, pres.nbhds)
     assert spec.opens == want
     assert spec.nbhds == pres.nbhds
 
@@ -252,11 +253,11 @@ _LAZY += [("product_Z2xchain2", product_embed(
               [cayley_right_regular(CATALOG["Z2"]), cayley_right_regular(CATALOG["chain2"])])),
           ("embcl_I2", embcl_rep(2)),
           ("lazy_wp_I2", RepresentationMap(
-              source=_WP_I2.source, images=tuple(map(lazy_extend_undefined, _WP_I2.images)),
+              source=_WP_I2.source, images=tuple(map(lazy_extend, _WP_I2.images)),
               space=IN, window=_WP_I2.window + 1))]
 for _name, _rep in _LAZY:  # the indiscrete source makes most traces fail to be open
     AUDIT_CASES += [(_name, _rep, None),
-                    (_name + "_indiscrete", _rep, TopSpec.indiscrete(_rep.source.n))]
+                    (_name + "_indiscrete", _rep, indiscrete(_rep.source.n))]
 
 
 @pytest.mark.parametrize("name,rep,source", AUDIT_CASES, ids=[c[0] for c in AUDIT_CASES])

@@ -11,8 +11,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (Compose, congruences_by_filter, left_stable, right_stable, u2_at_point_by_replay,
-                     u_at_point_by_replay)
+from oracles import (Compose, congruences_by_filter, domain, left_stable, right_stable,
+                     same_class_pairs, u2_at_point_by_replay, u_at_point_by_replay)
 from semitop.core import (
     RIGHT,
     TWO_SIDED,
@@ -46,7 +46,7 @@ from semitop.transforms import (
     agree_on_window,
     compose,
     invert,
-    lazy_extend_undefined,
+    lazy_extend,
     pair_index,
     unpair_index,
 )
@@ -143,7 +143,7 @@ def test_meet_join_bracket_their_arguments(data, extra):
                 assert rho.classes[a] == rho.classes[b] and tau.classes[a] == tau.classes[b]
             if rho.classes[a] == rho.classes[b] or tau.classes[a] == tau.classes[b]:
                 assert hi.classes[a] == hi.classes[b]
-    assert hi == congruence_closure(s, rho.pairs() + tau.pairs(), kind)
+    assert hi == congruence_closure(s, same_class_pairs(rho.classes) + same_class_pairs(tau.classes), kind)
 
 
 @given(st.sampled_from(SMALL), st.lists(st.integers(0, 6), min_size=1, max_size=7))
@@ -217,15 +217,15 @@ def pperm_pairs(draw):
 def test_partial_composition_shrinks_support(pair):
     f, g = pair
     fg = compose(f, g)
-    assert set(fg.dom()) <= set(f.dom())
+    assert set(domain(fg)) <= set(domain(f))
     assert set(fg.im()) <= set(g.im())
 
 
 @given(pperm_pairs())
 def test_undefined_extension_respects_composition(pair):
     f, g = pair
-    pointwise = Compose(lazy_extend_undefined(f), lazy_extend_undefined(g))
-    assert agree_on_window(lazy_extend_undefined(compose(f, g)), pointwise, f.window + 6)
+    pointwise = Compose(lazy_extend(f), lazy_extend(g))
+    assert agree_on_window(lazy_extend(compose(f, g)), pointwise, f.window + 6)
 
 
 @given(partial_perms)

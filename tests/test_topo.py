@@ -6,9 +6,12 @@ import pytest
 
 from oracles import (
     basis_by_candidate_filter,
+    bits,
     clopen_ideals_by_filter,
     ditop_by_replay,
+    indiscrete,
     inversion_continuous_by_replay,
+    min_nbhd_mask,
     scattered_height_by_replay,
     u2_at_point_by_replay,
     u_at_point_by_replay,
@@ -70,11 +73,11 @@ def test_top_spec_validation_and_queries():
         TopSpec(2, frozenset({0b01, 0b11}))
     # not a shift-count ValueError
     for build in (lambda: TopSpec(-1, frozenset()), lambda: TopSpec.discrete(-1),
-                  lambda: TopSpec.indiscrete(-1), lambda: TopSpec.generated(-1, [])):
+                  lambda: TopSpec.generated(-1, [])):
         with pytest.raises(DomainError, match="negative"):
             build()
     t = SIERPINSKI
-    assert t.is_open(0b01) and not t.is_open(0b10)
+    assert 0b01 in t.opens and 0b10 not in t.opens
     assert t.min_nbhd(0) == 0b01 and t.min_nbhd(1) == 0b11
     assert t.interior(0b10) == 0
     assert t.closure_of(0b01) == 0b11
@@ -88,7 +91,6 @@ def test_generated_and_discrete():
     assert g.opens == frozenset({0, 0b010, 0b011, 0b110, 0b111})
     d = TopSpec.discrete(3)
     assert len(d.opens) == 8
-    assert TopSpec.indiscrete(3).opens == frozenset({0, 0b111})
     with pytest.raises(SizeError):
         TopSpec.discrete(25)
 
@@ -132,7 +134,7 @@ def test_scattered_heights():
         h = scattered_height(ts.top)
         assert h == expected[name]
         assert h == scattered_height_by_replay(ts.sem.n, ts.top.opens)
-    assert scattered_height(TopSpec.indiscrete(2)) is None
+    assert scattered_height(indiscrete(2)) is None
 
 
 def test_clopen_ideal_counts():
@@ -145,8 +147,8 @@ def test_clopen_ideal_counts():
         ideals = enumerate_clopen_ideals(ts)
         assert len(ideals) == expected[name]
         assert sorted(ideals) == sorted(clopen_ideals_by_filter(ts.sem.table, ts.top.opens))
-    indiscrete = TopSemigroup(chain_semilattice(3), TopSpec.indiscrete(3))
-    assert sorted(enumerate_clopen_ideals(indiscrete)) == [0, 0b111]
+    coarse = TopSemigroup(chain_semilattice(3), indiscrete(3))
+    assert sorted(enumerate_clopen_ideals(coarse)) == [0, 0b111]
 
 
 def test_u_and_u2_against_definition_replay():
@@ -205,6 +207,22 @@ def test_inversion_discontinuity_detected():
     assert inversion_continuity_check(ts, (0, 1))[0]
 
 
+def assert_open_candidates_escape(rep, s, nb):
+    """Every right congruence with all classes open contains mu, so its class
+    of the first failing point x0 escapes N_x0 as [x0]_mu does; the report
+    names the least escaping element."""
+    x0, _, nbx0 = rep.failures[0]
+    assert rep.candidates
+    for classes, reason in rep.candidates:
+        if all(classes[z] == classes[y] for y in range(s.n) for z in bits(nb[y])):
+            escaping = [z for z in range(s.n) if classes[z] == classes[x0] and not nbx0 >> z & 1]
+            assert escaping, classes
+            assert reason == (f"all classes open but {s.label(escaping[0])} is forced "
+                              f"into the class of {s.label(x0)}")
+        else:
+            assert reason.endswith("is not open")
+
+
 def test_basis_check_verdicts_on_bundled():
     expected_fail = {"chain2_upper", "chain3_upper", "powerset2_upper"}
     for name, ts in bundled_top_semigroups():
@@ -213,6 +231,9 @@ def test_basis_check_verdicts_on_bundled():
         assert rep.ok == basis_by_candidate_filter(ts.sem.table, ts.top.opens)
         for x, z, nbx in rep.failures:
             assert rep.mu.classes[x] == rep.mu.classes[z] and not (nbx >> z) & 1
+        if not rep.ok:
+            nb = [min_nbhd_mask(ts.top.opens, ts.sem.n, x) for x in range(ts.sem.n)]
+            assert_open_candidates_escape(rep, ts.sem, nb)
 
 
 def test_basis_check_candidate_report_shape():
@@ -228,7 +249,10 @@ def test_basis_check_candidate_report_shape():
 def test_basis_check_on_catalog_presentations():
     for iid in ["exB", "odd_chain", "right_simple_zero:Z2", "brandt", "luke"]:
         inst = get_instance(iid, 4)
-        assert not congruence_basis_check(inst.presentation).ok
+        rep = congruence_basis_check(inst.presentation)
+        assert not rep.ok
+        if rep.candidates is not None:
+            assert_open_candidates_escape(rep, inst.presentation.base, inst.presentation.nbhds)
         ctrl = get_instance(iid + "-discrete", 4)
         assert congruence_basis_check(ctrl.presentation).ok
 
@@ -236,7 +260,7 @@ def test_basis_check_on_catalog_presentations():
 def test_presentation_validation():
     s = chain_semilattice(4)
     good = TruncatedPresentation(s, 4, 2, (0,), ((0, (0b1111, 0b1101)),), 0b1111)
-    assert good.min_nbhd(0) == 0b1101 and good.min_nbhd(1) == 0b0010
+    assert good.nbhds[0] == 0b1101 and good.nbhds[1] == 0b0010
     assert good.is_open(0b1101) and not good.is_open(0b0001)
     with pytest.raises(DomainError):  # family not descending
         TruncatedPresentation(s, 4, 2, (0,), ((0, (0b0101, 0b1101)),), 0b1111)
@@ -254,22 +278,24 @@ def test_presentation_validation():
                               strict=False)
     # the same no-tail family is fine when strict checking is off
     lax = TruncatedPresentation(s, 4, 3, (0,), ((0, (0b0011,)),), 0b1111, strict=False)
-    assert lax.min_nbhd(0) == 0b0011
+    assert lax.nbhds[0] == 0b0011
 
 
 def test_presentation_materializes_a_topology():
     inst = get_instance("exB", 4)
     pres = inst.presentation
-    spec = pres.to_top_spec()
+    # minimal neighbourhoods are their own minimal neighbourhoods, so they
+    # generate the presented topology
+    spec = TopSpec.generated(pres.base.n, pres.nbhds)
     assert is_topology(pres.base.n, spec.opens) == (True, None)
     for x in range(pres.base.n):
         if x not in pres.limit_points:
-            assert spec.is_open(1 << x)
+            assert 1 << x in spec.opens
     for _, fam in pres.families:
         for v in fam:
-            assert spec.is_open(v)
+            assert v in spec.opens
     for x in range(pres.base.n):
-        assert spec.min_nbhd(x) == pres.min_nbhd(x)
+        assert spec.min_nbhd(x) == pres.nbhds[x]
 
 
 def test_presentation_continuity_on_catalog():

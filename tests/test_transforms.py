@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from oracles import Compose, basic_open_member
+from oracles import (
+    Compose,
+    basic_open_member,
+    domain,
+    empty_pp,
+    identity_pp,
+    identity_transformation,
+    pp_from_pairs,
+)
 from semitop.errors import DomainError, EvaluationError
 from semitop.transforms import (
     IN,
@@ -24,15 +32,10 @@ from semitop.transforms import (
     _value_at,
     agree_on_window,
     compose,
-    empty_pp,
-    identity_pp,
-    identity_transformation,
     invert,
-    lazy_extend_identity,
-    lazy_extend_undefined,
+    lazy_extend,
     lazy_to_doc,
     pair_index,
-    pp_from_pairs,
     unpair_index,
 )
 
@@ -113,7 +116,7 @@ def test_dom_im_shrink_under_composition():
     for f in maps[::7]:
         for g in maps[::5]:
             fg = compose(f, g)
-            assert set(fg.dom()) <= set(f.dom())
+            assert set(domain(fg)) <= set(domain(f))
             assert set(fg.im()) <= set(g.im())
 
 
@@ -156,10 +159,10 @@ def test_pair_block_fixes_outside_blocks():
 
 
 def test_agree_on_window_handles_undefined():
-    f = lazy_extend_undefined(pp_from_pairs(2, [(0, 1)]))
-    g = lazy_extend_undefined(pp_from_pairs(2, [(0, 1)]))
+    f = lazy_extend(pp_from_pairs(2, [(0, 1)]))
+    g = lazy_extend(pp_from_pairs(2, [(0, 1)]))
     assert agree_on_window(f, g, 5)
-    h = lazy_extend_identity(Transformation(2, (1, 0)))
+    h = lazy_extend(Transformation(2, (1, 0)))
     assert not agree_on_window(f, h, 3)
 
 
@@ -170,12 +173,20 @@ def all_transformations(n):
 def test_lazy_extensions_respect_compose():
     """Extending a window map past its window commutes with compose: the
     window maps into itself, so a composite never leaves it."""
-    for maps, extend in ((all_transformations(3), lazy_extend_identity),
-                         (all_partial_perms(2), lazy_extend_undefined)):
+    for maps in (all_transformations(3), all_partial_perms(2)):
         for f in maps:
             for g in maps:
-                pointwise = Compose(extend(f), extend(g))
-                assert agree_on_window(extend(compose(f, g)), pointwise, f.window + 4)
+                pointwise = Compose(lazy_extend(f), lazy_extend(g))
+                assert agree_on_window(lazy_extend(compose(f, g)), pointwise, f.window + 4)
+
+
+def test_lazy_extend_keeps_lazy_maps_and_refuses_other_images():
+    t = Transformation(2, (1, 0))
+    assert lazy_extend(t) == FiniteTable(((0, 1), (1, 0)), Identity())
+    assert lazy_extend(pp_from_pairs(2, [(1, 0)])) == FiniteTable(((0, None), (1, 0)), UNDEFINED)
+    assert lazy_extend(Const(3)) == Const(3)
+    with pytest.raises(DomainError, match="cannot view tuple as a lazy map"):
+        lazy_extend((1, 0))
 
 
 def test_value_at_reads_each_kind_of_image():
@@ -185,7 +196,7 @@ def test_value_at_reads_each_kind_of_image():
         _value_at(t, 3)
     p = pp_from_pairs(3, [(1, 2)])
     assert [_value_at(p, x) for x in range(5)] == [None, 2, None, None, None]
-    assert [_value_at(lazy_extend_identity(t), x) for x in range(5)] == [2, 0, 1, 3, 4]
+    assert [_value_at(lazy_extend(t), x) for x in range(5)] == [2, 0, 1, 3, 4]
     assert _value_at(UNDEFINED, 7) is None
     with pytest.raises(DomainError):
         _value_at((2, 0, 1), 0)
@@ -202,7 +213,7 @@ def test_value_at_reads_each_kind_of_image():
       "rules": [[0, {"kind": "identity"}, 1], [1, {"kind": "const", "value": 2}, 0]]}),
     (PairBlock((Const(1), Identity())),
      {"kind": "pairblock", "inners": [{"kind": "const", "value": 1}, {"kind": "identity"}]}),
-    (lazy_extend_undefined(pp_from_pairs(2, [(0, 1)])),
+    (lazy_extend(pp_from_pairs(2, [(0, 1)])),
      {"kind": "table", "entries": [[0, 1], [1, None]],
       "fallback": {"kind": "affine", "modulus": 1, "rules": []}}),
 ], ids=["identity", "const", "table", "affine", "pairblock", "undefined-extension"])
