@@ -291,7 +291,7 @@ def cmd_check(args) -> int:
             ok, chain = chain_finite_check(sem)
             report["longest_chain"] = list(chain)
             lines.append("longest chain: " + " > ".join(sem.label(x) for x in chain))
-        elif kind == "cong-basis":
+        else:  # cong-basis; argparse's choices refuse any other kind
             target = pres if pres is not None else _need_topology(sem, top)
             rep = congruence_basis_check(target)
             ok = rep.ok
@@ -309,8 +309,6 @@ def cmd_check(args) -> int:
                         lines.append(f"  ... {len(rep.candidates) - 16} more candidates")
                     report["candidates"] = [
                         {"classes": list(c), "reason": r} for c, r in rep.candidates]
-        else:
-            raise LoadError(f"unknown check kind {kind!r}")
 
     report["verdict"] = ok
     verdict = _paint("PASS", GREEN) if ok else _paint("FAIL", RED)
@@ -398,7 +396,7 @@ def cmd_embed(args) -> int:
         out["factor_sizes"] = [f.n for f in rep.target.factors]
         lines.append(f"target product of {len(rep.target.factors)} factors, "
                      f"size {rep.target.n}; verification {rep.verification}")
-    elif kind == "group-restrict":
+    else:  # group-restrict; argparse's choices refuse any other kind
         if (not isinstance(doc, dict) or doc.get("kind") != "transformation_group"
                 or not isinstance(doc.get("maps"), list)):
             raise LoadError("input needs {'kind': 'transformation_group', 'window': n, 'maps': [...]}")
@@ -417,8 +415,6 @@ def cmd_embed(args) -> int:
         failed = not audit.ok or not all(ok for _, ok, _ in laws)
         for name, ok, wit in laws:
             lines.append(f"{name}: {'ok' if ok else f'fails at {wit}'}")
-    else:
-        raise LoadError(f"unknown embed kind {kind!r}")
 
     status = _paint("FAIL", RED) if failed else _paint("OK", GREEN)
     _emit(args, out, [f"embed {kind}: {status}"] + ["  " + line for line in lines])
@@ -434,35 +430,33 @@ def _parser() -> argparse.ArgumentParser:
         prog="semitop",
         description="finite windows of topological-semigroup embedding arguments")
     sub = ap.add_subparsers(dest="command", required=True)
+    # options declared once; a parent's options come before the subcommand's own
+    windowed = argparse.ArgumentParser(add_help=False)
+    windowed.add_argument("--window", "-w", type=int, default=6)
+    outputs = argparse.ArgumentParser(add_help=False)  # all four subcommands
+    outputs.add_argument("--json", action="store_true")
+    outputs.add_argument("--out", default=None)
 
-    p = sub.add_parser("catalog", help="list the bundled obstruction instances")
-    p.add_argument("--window", "-w", type=int, default=6)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("catalog", parents=[windowed, outputs],
+                       help="list the bundled obstruction instances")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("obstruct", help="run the forcing argument on an instance")
+    p = sub.add_parser("obstruct", parents=[windowed, outputs],
+                       help="run the forcing argument on an instance")
     p.add_argument("instance", help="e.g. exB, odd_chain, right_simple_zero:S3, "
                                     "brandt, luke, or any with -discrete appended")
-    p.add_argument("--window", "-w", type=int, default=6)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.add_argument("--replay", default=None, metavar="CERT",
                    help="verify a stored certificate instead of searching")
     p.set_defaults(func=cmd_obstruct)
 
-    p = sub.add_parser("check", help="run a predicate over a JSON input")
+    p = sub.add_parser("check", parents=[outputs], help="run a predicate over a JSON input")
     p.add_argument("kind", choices=CHECK_KINDS)
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("embed", help="build and audit a representation")
+    p = sub.add_parser("embed", parents=[outputs], help="build and audit a representation")
     p.add_argument("kind", choices=EMBED_KINDS)
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_embed)
     return ap
 

@@ -23,7 +23,7 @@ from .core import (
     natural_order,
     subsemigroup,
 )
-from .errors import DomainError, KindError, SizeError, TheoremViolationError
+from .errors import DomainError, EvaluationError, KindError, SizeError, TheoremViolationError
 from .semigroups import FinProduct, composition_table, symmetric_inverse_monoid
 from .topo import TopSemigroup, TopSpec, TruncatedPresentation, holds_nbhds, min_nbhds
 from .transforms import (
@@ -40,9 +40,7 @@ from .transforms import (
     PairBlock,
     PartialPerm,
     Transformation,
-    _value_at,
     compose,
-    invert,
     lazy_extend,
     lazy_to_doc,
     pair_index,
@@ -60,21 +58,20 @@ class RepresentationMap:
     The source must be a FinSemigroup or a FinProduct, whose table the
     checks read (a product past PRODUCT_BOUND elements raises SizeError
     before any image is evaluated), and a finite target a FinProduct.
-    ``values`` is what the checks compare: each NN or IN image's values on
-    ``window``, read as basic opens read them, or each finite image's
-    component tuple in the target.  A Transformation or PartialPerm image
-    that covers the window gives a slice of its map (the map itself when
-    the lengths agree); a lazy image is evaluated point by point.
+    ``values`` is what the checks compare: each finite image's component
+    tuple in the target, or each NN or IN image's values on ``window``,
+    read as basic opens read them.  A Transformation or PartialPerm image
+    must have the representation's window, and its values are its map; a
+    lazy image is read with ``eval`` on the window, and its values must stay
+    in the window (or be holes, None).  Either refusal is an
+    EvaluationError.
 
-    When every value stays in the window (or is a hole, None), the value
-    tuples compose as self-maps of a finite set, so the law on the pairs
-    (a, g), g in a generating set of the source, gives it on all pairs by
-    induction on the length of b as a product of generators; a finite
-    target is a semigroup, so the same holds there.  In the window, those
-    pairs are read at C speed by one lookup per pair (see
-    _generators_compose).  Otherwise, or when that check fails, all pairs
-    are scanned in order by ``_composes``, the reference rule, and the
-    least failing one is reported.  Every check is exhaustive.
+    The values then compose as self-maps of a finite set (a finite target is
+    a semigroup), so the law on the pairs (a, g), g in a generating set of
+    the source, gives it on all pairs by induction on the length of b as a
+    product of generators.  When a generator pair fails, all pairs are
+    scanned in order and the least failing one is reported (see
+    _law_failure).  Every check is exhaustive.
     """
 
     source: FinSemigroup | FinProduct
@@ -106,21 +103,40 @@ class RepresentationMap:
                             f"{type(self.target).__name__}")
         if self.space != FINITE and self.window is None:
             raise DomainError("function-space images need an evaluation window")
-        alien = {NN: PartialPerm, IN: Transformation}.get(self.space)
-        if alien and any(isinstance(img, alien) for img in self.images):
-            raise KindError(f"a {alien.__name__} image does not live in {self.space}")
         rows = self.source.table  # an oversized product refuses before any evaluation
-        win = self.window
         if self.space == FINITE:
             size = self.target.n
             if not all(type(img) is int and 0 <= img < size for img in self.images):
                 raise DomainError(f"a finite image must index the {size}-element target")
             values = tuple(map(self.target.decode, self.images))
+            tables = self.target.factor_tables
+
+            def reader(va):  # the factor rows that a's components name
+                rows_a = tuple(map(getitem, tables, va))
+                return lambda vb: tuple(map(getitem, rows_a, vb))
+            operand = values.__getitem__
         else:
-            values = tuple(
-                img.map[:win] if isinstance(img, (Transformation, PartialPerm))
-                and 0 <= win <= img.window else tuple(_value_at(img, x) for x in range(win))
-                for img in self.images)
+            native = Transformation if self.space == NN else PartialPerm
+            for img in self.images:
+                if not isinstance(img, (native, LazyMap)):
+                    raise KindError(f"a {type(img).__name__} image does not live in {self.space}")
+                if isinstance(img, native) and img.window != self.window:
+                    raise EvaluationError(f"a window map on {img.window} points is read "
+                                          f"on a {self.window}-point window")
+            window = range(self.window)
+            values = tuple(img.map if isinstance(img, native) else tuple(map(img.eval, window))
+                           for img in self.images)
+            points = set(itertools.chain.from_iterable(
+                vals for img, vals in zip(self.images, values) if not isinstance(img, native)))
+            points.discard(None)
+            if not points <= set(window):
+                raise EvaluationError(f"a lazy image leaves the {self.window}-point window")
+
+            def reader(va):  # a hole in a's values reads position -1
+                return _gather(map(_HOLE_LAST.get, va, va))
+
+            def operand(b):
+                return values[b] + (None,)
         object.__setattr__(self, "values", values)
         seen = {}
         for i, v in enumerate(values):
@@ -129,33 +145,9 @@ class RepresentationMap:
                 raise TheoremViolationError(
                     f"not injective: elements {j} and {i} share an image")
         # the generator pairs decide; the ordered scan names a witness
-        pairs = itertools.product(range(n), repeat=2)
-        gens = self.source.generators
-        if self.space == FINITE:
-            holds = all(self._composes(a, g) for a in range(n) for g in gens)
-        else:
-            points = set(itertools.chain.from_iterable(values))
-            points.discard(None)
-            holds = (all(0 <= v < win for v in points)
-                     and _generators_compose(values, rows, gens))
-        if holds:
-            pairs = ()
-        for a, b in pairs:
-            if not self._composes(a, b):
-                raise TheoremViolationError(f"homomorphism fails at ({a}, {b})")
-
-    def _composes(self, a, b) -> bool:
-        """In a finite target, the components of fa and fb multiply to those
-        of f(a*b).  Otherwise (x)(fa*fb) = ((x)fa)fb at every window point
-        x; fb is evaluated afresh only where fa leaves the window."""
-        va, vb = self.values[a], self.values[b]
-        want = self.values[self.source.table[a][b]]
-        if self.space == FINITE:
-            tables = self.target.factor_tables
-            return tuple(map(getitem, map(getitem, tables, va), vb)) == want
-        fb, win = self.images[b], self.window
-        return tuple([None if v is None else vb[v] if 0 <= v < win else _value_at(fb, v)
-                      for v in va]) == want
+        if _law_failure(values, rows, operand, reader, self.source.generators):
+            a, b = _law_failure(values, rows, operand, reader, range(n))
+            raise TheoremViolationError(f"homomorphism fails at ({a}, {b})")
 
 
 def _gather(positions):
@@ -172,18 +164,18 @@ def _gather(positions):
 _HOLE_LAST = {None: -1}  # position of a value in a hole-padded tuple
 
 
-def _generators_compose(values, rows, gens) -> bool:
-    """(x)(fa*fg) == ((x)fa)fg for every a and every generator g, on value
-    tuples that stay in the window: one reader per a, built from a's values
-    with a hole at position -1, reads each generator's hole-padded values at
-    C speed.  It is the rule of RepresentationMap._composes on those values;
-    the readers live only for this call."""
-    padded = [values[g] + (None,) for g in gens]
-    for va, row in zip(values, rows):
-        read = _gather(map(_HOLE_LAST.get, va, va))
-        if list(map(read, padded)) != [values[row[g]] for g in gens]:
-            return False
-    return True
+def _law_failure(values, rows, operand, reader, multipliers):
+    """The least pair (a, b), b among the multipliers, at which the values
+    break the law: the values of fa*fb, read by reader(values[a]) from
+    operand(b), are the values of f(a*b).  None when the law holds.  Each
+    reader lives for one element a and reads every multiplier at C speed."""
+    operands = list(map(operand, multipliers))
+    for a, (va, row) in enumerate(zip(values, rows)):
+        got = list(map(reader(va), operands))
+        want = [values[row[b]] for b in multipliers]
+        if got != want:
+            return a, next(b for b, g, w in zip(multipliers, got, want) if g != w)
+    return None
 
 
 def representation_doc(rep: RepresentationMap) -> dict:
@@ -253,8 +245,15 @@ def wagner_preston(inv: InverseStructure) -> RepresentationMap:
 
 def preserves_inversion(rep: RepresentationMap, inv: InverseStructure) -> bool:
     """Whether the image of a^-1 is always the converse partial bijection of
-    the image of a."""
-    return all(invert(rep.images[a]) == rep.images[inv.inv[a]] for a in range(inv.n))
+    the image of a, compared on their value tuples."""
+    for a, vals in enumerate(rep.values):
+        converse = [None] * rep.window
+        for x, v in enumerate(vals):
+            if v is not None:
+                converse[v] = x
+        if tuple(converse) != rep.values[inv.inv[a]]:
+            return False
+    return True
 
 
 # measured so that `semitop embed product` at either bound stays under 5 s

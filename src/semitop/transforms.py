@@ -5,15 +5,17 @@ Transformation on window n is a total map n -> n; a PartialPerm is an
 injective partial map whose domain and image live inside the window.  LazyMap
 is a small closed combinator language for window-evaluable elements of the
 full function space on the naturals and of the partial-bijection space;
-evaluation returns None where the map is undefined.  Lazy maps are written
-to representation documents but never read back.
+``eval`` returns None where the map is undefined.  A representation reads a
+window map's values from its map and a lazy map's by ``eval`` at each
+window point.  Lazy maps are written to representation documents but never
+read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -76,15 +78,6 @@ def compose(f, g):
         vals = tuple(None if v is None else g.map[v] for v in f.map)
         return PartialPerm(f.window, vals)
     raise DomainError(f"cannot compose {type(f).__name__}")
-
-
-def invert(f: PartialPerm) -> PartialPerm:
-    """Relational converse of an injective partial map."""
-    vals: list[int | None] = [None] * f.window
-    for x, v in enumerate(f.map):
-        if v is not None:
-            vals[v] = x
-    return PartialPerm(f.window, tuple(vals))
 
 
 # -- lazy maps ---------------------------------------------------------------
@@ -261,14 +254,3 @@ class BasicOpen:
             elif atom[0] not in (U_ATOM, W_DOM):
                 raise DomainError(f"unknown IN atom {atom!r}")
 
-
-def _value_at(h, x):
-    if isinstance(h, (Transformation, PartialPerm)):
-        if x >= h.window:
-            if isinstance(h, Transformation):
-                raise EvaluationError(f"transformation window {h.window} cannot see point {x}")
-            return None  # a window partial permutation is undefined beyond it
-        return h.map[x]
-    if isinstance(h, LazyMap):
-        return h.eval(x)
-    raise DomainError(f"not an evaluable element: {type(h).__name__}")

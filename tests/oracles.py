@@ -9,7 +9,6 @@ lazy maps.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from semitop.errors import EvaluationError
 from semitop.topo import TopSpec
@@ -438,6 +437,15 @@ def identity_pp(n):
 
 def empty_pp(n):
     return PartialPerm(n, (None,) * n)
+
+
+def invert(f):
+    """Relational converse of an injective partial map."""
+    vals = [None] * f.window
+    for x, v in enumerate(f.map):
+        if v is not None:
+            vals[v] = x
+    return PartialPerm(f.window, tuple(vals))
 
 
 def identity_transformation(n):

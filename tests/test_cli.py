@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import semitop
-from semitop import embed
 from semitop.cli import main
 from semitop.core import Congruence, FinSemigroup, semigroup_doc
 from semitop.semigroups import (
@@ -318,14 +317,13 @@ def test_embed_product_past_the_bound_is_refused_unevaluated(tmp_path, capsys, m
     t3 = semigroup_doc(full_transformation_monoid(3)[0])
     prod = write(tmp_path, "t3cubed.json", {"kind": "product", "factors": [t3, t3, t3]})
     evaluated = []
-    real = embed._value_at
+    real = PairBlock.eval
 
     def spy(img, x):
-        if isinstance(img, PairBlock):
-            evaluated.append(x)
+        evaluated.append(x)
         return real(img, x)
 
-    monkeypatch.setattr(embed, "_value_at", spy)
+    monkeypatch.setattr(PairBlock, "eval", spy)
     assert main(["embed", "product", prod]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and evaluated == []  # no product image was evaluated

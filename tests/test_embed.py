@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import domain, identity_pp, law_replay, pp_from_pairs
+from oracles import domain, identity_pp, invert, law_replay, pp_from_pairs
 from semitop import embed
 from semitop.core import (
     NotInverse,
@@ -99,6 +99,31 @@ def test_wagner_preston_values_and_inversion():
         for e in idempotents(s):
             img = rep.images[e]
             assert all(v is None or v == x for x, v in enumerate(img.map))
+
+
+def test_inversion_by_values_matches_the_converse_partial_perm():
+    """preserves_inversion reads the converse off the value tuples; it
+    agrees with building the converse PartialPerm of every image on each
+    Wagner-Preston representation, and on a copy of I4's with the image of
+    an element that is not its own inverse swapped with one that is."""
+    def by_invert(rep, inv):
+        return all(invert(rep.images[a]) == rep.images[inv.inv[a]] for a in range(inv.n))
+
+    members = [s for _, s in embedding_catalog()]
+    members += [symmetric_inverse_monoid(3)[0], symmetric_inverse_monoid(4)[0]]
+    structures = [inv for inv in map(inverse_structure, members)
+                  if not isinstance(inv, NotInverse)]
+    for inv in structures:
+        rep = wagner_preston(inv)
+        assert preserves_inversion(rep, inv) == by_invert(rep, inv) is True
+    assert len(structures) == 13 and inv.n == 209
+    a = next(x for x in range(inv.n) if inv.inv[x] != x)
+    e = next(x for x in range(inv.n) if inv.inv[x] == x)
+    images = list(rep.images)
+    images[a], images[e] = images[e], images[a]
+    swapped = SimpleNamespace(images=tuple(images), values=tuple(img.map for img in images),
+                              window=rep.window)
+    assert preserves_inversion(swapped, inv) == by_invert(swapped, inv) is False
 
 
 def test_wagner_preston_domains_shrink_along_the_order():

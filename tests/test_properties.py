@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (Compose, congruences_by_filter, domain, left_stable, right_stable,
+from oracles import (Compose, congruences_by_filter, domain, invert, left_stable, right_stable,
                      same_class_pairs, u2_at_point_by_replay, u_at_point_by_replay)
 from semitop.core import (
     RIGHT,
@@ -45,7 +45,6 @@ from semitop.transforms import (
     PartialPerm,
     agree_on_window,
     compose,
-    invert,
     lazy_extend,
     pair_index,
     unpair_index,

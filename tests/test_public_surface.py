@@ -11,6 +11,11 @@ benchmark tracer patches functions by name ("Class.method" names both).
 The only exceptions are the paper notions that no subcommand needs yet, each
 named in README with the result it serves, and the `semitop` names that the
 acceptance gate imports.
+
+Every module in `src/`, `scripts/`, `perfbench/` and `tests/` also reads
+every name it imports, except the re-exports of `__init__.py`, `from
+__future__` imports and the acceptance gate, which is kept as it was
+written.
 """
 
 import ast
@@ -147,3 +152,33 @@ def test_the_scan_skips_imports_and_self_references():
     # K.h is read only inside its own body, and a local h is no method call
     assert not is_called("K.h", refs)
     assert is_called("h", refs) and is_called("d", refs) and not is_called("b", refs)
+
+
+def unused_imports(source):
+    """The names a module's imports bind and its code never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_read():
+    files = [path for folder in ("src", "scripts", "perfbench", "tests")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if path.name != "__init__.py" and path.name != "test_acceptance.py"]
+    assert len(files) > 30
+    unused = {str(path.relative_to(ROOT)): sorted(names) for path in files
+              if (names := unused_imports(path.read_text()))}
+    assert not unused, f"imported but never read: {unused}"
+
+
+def test_the_import_scan_reads_names_and_attribute_bases():
+    assert unused_imports("from __future__ import annotations\n"
+                          "import os.path, json as j\n"
+                          "from itertools import product as iproduct, chain\n"
+                          "def f():\n    import re\n    return os.sep, chain\n") == {
+                              "j", "iproduct", "re"}

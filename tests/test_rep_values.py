@@ -1,32 +1,37 @@
-"""RepresentationMap's checks on value tuples against the rules they replaced.
+"""RepresentationMap's reading rule and law check against the rules they
+replaced.
 
-A representation into NN or IN evaluates each image once on its window and
+A representation into NN or IN reads each image once, as its values on the
+window: a window map must have the representation's window and gives its
+map, and a lazy image is read with eval and must stay in the window.  It
 checks injectivity, the homomorphism law (x)(fa*fb) = ((x)fa)fb and the
-separating opens on those values.  When the values stay in the window the
-law is checked on the pairs (a, g) with g in a generating set of the
-source only.  The older rules, restated here, built the composite for
-every pair instead: `compose(fa, fb) == want` for window maps and
-`agree_on_window(Compose(fa, fb), want, window)` for lazy maps, with
-injectivity keyed on a window map itself or on a lazy map's window values.
+separating opens on those values, and a finite target's images on their
+component tuples.  The law is checked on the pairs (a, g) with g in a
+generating set of the source, and on every pair only when one of those
+fails.  The older rules, restated here, built the composite for every pair
+instead: `compose(fa, fb) == want` for window maps,
+`agree_on_window(Compose(fa, fb), want, window)` for lazy maps and the
+target's table for finite images, with injectivity keyed on a window map
+itself or on a lazy map's window values.
 """
 
-import itertools
-from types import SimpleNamespace
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Compose
+from oracles import Compose, pp_from_pairs
 from semitop import embed
 from semitop.core import FinSemigroup, _greedy_generators, inverse_structure
-from semitop.embed import (RepresentationMap, cayley_right_regular, separating_opens,
-                           wagner_preston)
-from semitop.errors import EvaluationError, TheoremViolationError
-from semitop.semigroups import symmetric_group, symmetric_inverse_monoid
+from semitop.embed import (FINITE, RepresentationMap, cayley_right_regular,
+                           clifford_product_embed, separating_opens, wagner_preston)
+from semitop.errors import EvaluationError, KindError, TheoremViolationError
+from semitop.semigroups import (commutative_inverse_monoid_catalog, symmetric_group,
+                                symmetric_inverse_monoid)
 from semitop.transforms import (
     IN,
     NN,
     U_ATOM,
+    UNDEFINED,
     W_DOM,
     BasicOpen,
     FiniteTable,
@@ -34,20 +39,22 @@ from semitop.transforms import (
     LazyMap,
     PartialPerm,
     Transformation,
-    _value_at,
     agree_on_window,
     compose,
+    lazy_extend,
 )
 
 CAP = 12  # elements per drawn source; one map on five points generates at most 6
 
 
-def composite_rule(source, images, window):
+def composite_rule(source, images, window, target=None):
     """The older checks: None when the map passes, else the message."""
     seen = {}
     for i, img in enumerate(images):
         if isinstance(img, LazyMap):
             key = tuple(img.eval(x) for x in range(window))
+        elif isinstance(img, int):
+            key = img
         else:
             key = (type(img).__name__, img.window, img.map)
         if key in seen:
@@ -55,14 +62,30 @@ def composite_rule(source, images, window):
         seen[key] = i
     for a in range(source.n):
         for b in range(source.n):
-            fa, fb, want = images[a], images[b], images[source.mul(a, b)]
+            fa, fb, want = images[a], images[b], images[source.table[a][b]]
             if isinstance(fa, LazyMap):
                 ok = agree_on_window(Compose(fa, fb), want, window)
+            elif isinstance(fa, int):
+                ok = target.table[fa][fb] == want
             else:
                 ok = compose(fa, fb) == want
             if not ok:
                 return f"homomorphism fails at ({a}, {b})"
     return None
+
+
+def spy_on_gather(monkeypatch):
+    """Every read of a _gather reader, as (positions, sequence read)."""
+    reads = []
+    real = embed._gather
+
+    def gather(positions):
+        positions = tuple(positions)
+        read = real(positions)
+        return lambda seq: reads.append((positions, seq)) or read(seq)
+
+    monkeypatch.setattr(embed, "_gather", gather)
+    return reads
 
 
 def separating_opens_by_evaluation(rep):
@@ -87,6 +110,11 @@ def separating_opens_by_evaluation(rep):
 
 def _then(f, g):
     return tuple(None if v is None else g[v] for v in f)
+
+
+def semigroup_of(elems):
+    """The semigroup of value maps closed under _then, in the given order."""
+    return FinSemigroup(tuple(tuple(elems.index(_then(f, g)) for g in elems) for f in elems))
 
 
 @st.composite
@@ -128,8 +156,7 @@ def representations(draw):
     elems = closure(drawn)
     if len(elems) > CAP:
         elems = closure(drawn[:1])
-    source = FinSemigroup(tuple(tuple(elems.index(_then(f, g)) for g in elems)
-                                for f in elems))
+    source = semigroup_of(elems)
     if draw(st.booleans()):
         elems[draw(st.integers(0, len(elems) - 1))] = draw(value_maps(kind, span))
     if kind == "transformation":
@@ -144,47 +171,32 @@ def representations(draw):
 
 
 def test_value_law_matches_the_composite_rule():
+    """Values that stay in the window get the composite rule's verdict and
+    message; a lazy image whose values leave the window is refused."""
     seen = set()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(representations())
     def check(case):
         kind, past, source, images, space, window = case
-        want = composite_rule(source, images, window)
         try:
             rep = RepresentationMap(source=source, images=images, space=space, window=window)
+        except EvaluationError as e:
+            assert past and str(e) == f"a lazy image leaves the {window}-point window"
+            seen.add((kind, "refused"))
+            return
         except TheoremViolationError as e:
             got = str(e)
         else:
             got = None
             assert separating_opens(rep) == separating_opens_by_evaluation(rep)
-        assert got == want
-        seen.add((kind, want is None, past))
+        assert not past and got == composite_rule(source, images, window)
+        seen.add((kind, got is None))
 
     check()
     for kind in ("transformation", "partial", "lazy"):
-        assert (kind, True, False) in seen and (kind, False, False) in seen, kind
-    assert ("lazy", True, True) in seen and ("lazy", False, True) in seen
-
-
-def scan_with_composes(source, images, space, window):
-    """The verdict of `RepresentationMap._composes`, the reference rule, on
-    every pair in order, over values read point by point: None, or the
-    message of the first failure."""
-    try:
-        values = tuple(tuple(_value_at(img, x) for x in range(window)) for img in images)
-    except EvaluationError as e:
-        return str(e)
-    seen = {}
-    for i, v in enumerate(values):
-        if seen.setdefault(v, i) != i:
-            return f"not injective: elements {seen[v]} and {i} share an image"
-    rep = SimpleNamespace(source=source, images=images, space=space, window=window,
-                          values=values)
-    for a, b in itertools.product(range(source.n), repeat=2):
-        if not RepresentationMap._composes(rep, a, b):
-            return f"homomorphism fails at ({a}, {b})"
-    return None
+        assert (kind, True) in seen and (kind, False) in seen, kind
+    assert ("lazy", "refused") in seen
 
 
 @st.composite
@@ -201,93 +213,139 @@ def window_map_representations(draw):
     elems = closure(drawn)
     if len(elems) > CAP:
         elems = closure(drawn[:1])
-    source = FinSemigroup(tuple(tuple(elems.index(_then(f, g)) for g in elems)
-                                for f in elems))
+    source = semigroup_of(elems)
     if draw(st.booleans()):
         elems[draw(st.integers(0, len(elems) - 1))] = draw(maps)
     if kind == "transformation":
         images, space = tuple(Transformation(span, e) for e in elems), NN
     else:
         images, space = tuple(PartialPerm(span, e) for e in elems), IN
-    closed = all(v is None or v < window for e in elems for v in e[:window])
-    return kind, closed, source, images, space, window
+    return kind, span, source, images, space, window
 
 
-def test_generator_verdict_matches_the_scan_with_composes():
-    """The lookup of the generator pairs decides window-closed values and
-    the ordered scan names the least failing pair, so every verdict and
-    message is the one `_composes` gives on all pairs; windows of zero and
-    one point read fewer than two positions per lookup."""
+def test_generator_verdict_matches_the_composite_rule(monkeypatch):
+    """A window map read on its own window gets the composite rule's verdict
+    and message, and a pass reads the generator pairs only; windows of zero
+    and one point read fewer than two positions per lookup.  A window map
+    read on any other window is refused."""
     seen = set()
+    reads = spy_on_gather(monkeypatch)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(window_map_representations())
     def check(case):
-        kind, closed, source, images, space, window = case
-        want = scan_with_composes(source, images, space, window)
+        kind, span, source, images, space, window = case
+        reads.clear()
         try:
             RepresentationMap(source=source, images=images, space=space, window=window)
-        except (EvaluationError, TheoremViolationError) as e:
+        except EvaluationError as e:
+            assert window != span
+            assert str(e) == f"a window map on {span} points is read on a {window}-point window"
+            seen.add((kind, "longer" if window > span else "shorter"))
+            return
+        except TheoremViolationError as e:
             got = str(e)
         else:
             got = None
-        assert got == want
-        seen.add((kind, closed, want is None or want[:4]))
-        seen.add((kind, window, want is None))
+            assert len(reads) == source.n * len(source.generators)
+        assert window == span and got == composite_rule(source, images, window)
+        seen.add((kind, got is None or got[:4]))
+        seen.add((kind, window, got is None))
 
     check()
     for kind in ("transformation", "partial"):
-        for closed in (True, False):
-            assert (kind, closed, True) in seen and (kind, closed, "homo") in seen, (kind, closed)
+        for verdict in (True, "homo", "not ", "longer", "shorter"):
+            assert (kind, verdict) in seen, (kind, verdict)
         assert (kind, 0, True) in seen and (kind, 1, True) in seen, kind
-    assert ("transformation", True, "tran") in seen  # a window past the maps
-
-
-def count_composes(monkeypatch):
-    calls = []
-    real = RepresentationMap._composes
-    monkeypatch.setattr(RepresentationMap, "_composes",
-                        lambda self, a, b: calls.append((a, b)) or real(self, a, b))
-    return calls
 
 
 def test_window_closed_values_check_the_generator_pairs_only(monkeypatch):
-    """No pair goes through _composes: the reader built from the values of
-    each element a reads the hole-padded values of each generator g once."""
+    """The reader built from the values of each element a reads the
+    hole-padded values of each generator g once, and no other pair."""
     i3, _ = symmetric_inverse_monoid(3)
     gens = _greedy_generators(i3.table)
-    calls = count_composes(monkeypatch)
-    reads = []
-    real = embed._gather
-
-    def gather(positions):
-        positions = tuple(positions)
-        read = real(positions)
-        return lambda seq: reads.append((positions, seq)) or read(seq)
-
-    monkeypatch.setattr(embed, "_gather", gather)
+    reads = spy_on_gather(monkeypatch)
     rep = cayley_right_regular(i3)  # a monoid: no holes, so positions are values
     element = {vals: a for a, vals in enumerate(rep.values)}
     generator = {rep.values[g] + (None,): g for g in gens}
     pairs = [(element[positions], generator[seq]) for positions, seq in reads]
-    assert calls == []
     assert len(pairs) == i3.n * len(gens) == 34 * 4
     assert set(pairs) == {(a, g) for a in range(i3.n) for g in gens}
 
 
 def test_window_closed_holes_need_no_scan(monkeypatch):
     """A hole reads position -1 of each padded tuple, so the Wagner-Preston
-    images of I3, most of them partial, pass with no pair scanned."""
-    calls = count_composes(monkeypatch)
+    images of I3, most of them partial, pass on the generator pairs alone."""
     rep = wagner_preston(inverse_structure(symmetric_inverse_monoid(3)[0]))
-    assert calls == [] and sum(None in vals for vals in rep.values) == 34 - 6  # all but S3
+    assert sum(None in vals for vals in rep.values) == 34 - 6  # all but S3
+    reads = spy_on_gather(monkeypatch)
+    RepresentationMap(source=rep.source, images=rep.images, space=IN, window=rep.window)
+    assert len(reads) == 34 * len(rep.source.generators)
 
 
-def test_values_past_the_window_check_every_pair(monkeypatch):
-    """S3 permuting three points, read on a window of two: values reach 2."""
+def test_the_reading_rule_reads_each_kind_of_image():
+    """A window map's values are its map; a lazy image is read with eval on
+    the window, and a hole reads None."""
+    t = Transformation(3, (2, 0, 1))
+    cycle = [t.map, _then(t.map, t.map), (0, 1, 2)]
+    rep = RepresentationMap(source=semigroup_of(cycle),
+                            images=[Transformation(3, c) for c in cycle], space=NN, window=3)
+    assert rep.values[0] is rep.images[0].map and rep.values[0] == (2, 0, 1)
+    lazy = RepresentationMap(source=rep.source, images=map(lazy_extend, rep.images),
+                             space=NN, window=5)
+    assert lazy.values[0] == (2, 0, 1, 3, 4)
+    p = pp_from_pairs(3, [(1, 2)])  # p*p is nowhere defined
+    pair = [p.map, _then(p.map, p.map)]
+    partial = RepresentationMap(source=semigroup_of(pair),
+                                images=[PartialPerm(3, v) for v in pair], space=IN, window=3)
+    assert partial.values == ((None, 2, None), (None, None, None))
+    lazy = RepresentationMap(source=partial.source, images=map(lazy_extend, partial.images),
+                             space=IN, window=5)
+    assert lazy.values[0] == (None, 2, None, None, None)
+    trivial = FinSemigroup(((0,),))
+    assert RepresentationMap(source=trivial, images=[UNDEFINED], space=IN,
+                             window=8).values == ((None,) * 8,)
+    with pytest.raises(KindError, match="a tuple image does not live in NN"):
+        RepresentationMap(source=trivial, images=[(0,)], space=NN, window=1)
+
+
+def test_the_reading_rule_refuses_values_past_the_window():
+    """S3 permuting three points: window maps read on a window of four (the
+    maps' window is shorter) or of two (longer), and lazy maps read on a
+    window of two, whose values reach 2.  Each refusal is one line."""
     s3 = symmetric_group(3)
     perms = [tuple(int(c) for c in name) for name in s3.names]
-    images = tuple(FiniteTable(tuple(enumerate(p)), Identity()) for p in perms)
-    calls = count_composes(monkeypatch)
-    RepresentationMap(source=s3, images=images, space=NN, window=2)
-    assert len(calls) == s3.n ** 2
+    maps = tuple(Transformation(3, p) for p in perms)
+    for window in (4, 2):
+        with pytest.raises(EvaluationError) as refused:
+            RepresentationMap(source=s3, images=maps, space=NN, window=window)
+        assert str(refused.value) == f"a window map on 3 points is read on a {window}-point window"
+    lazy = tuple(FiniteTable(tuple(enumerate(p)), Identity()) for p in perms)
+    with pytest.raises(EvaluationError, match="^a lazy image leaves the 2-point window$"):
+        RepresentationMap(source=s3, images=lazy, space=NN, window=2)
+    assert RepresentationMap(source=s3, images=lazy, space=NN, window=3).values == tuple(perms)
+
+
+def test_clifford_products_match_the_composite_rule():
+    """The Clifford product packing of each commutative inverse monoid
+    passes, and every copy with one image redrawn (to another element's
+    image, or to the next index of the target) gets the composite rule's
+    verdict and message."""
+    verdicts = set()
+    for name, s in commutative_inverse_monoid_catalog():
+        rep = clifford_product_embed(inverse_structure(s))
+        assert composite_rule(s, rep.images, None, rep.target) is None, name
+        size = rep.target.n
+        for a in range(s.n):
+            for drawn in sorted({*rep.images, (rep.images[a] + 1) % size} - {rep.images[a]}):
+                images = rep.images[:a] + (drawn,) + rep.images[a + 1:]
+                want = composite_rule(s, images, None, rep.target)
+                try:
+                    RepresentationMap(source=s, images=images, space=FINITE, target=rep.target)
+                except TheoremViolationError as e:
+                    got = str(e)
+                else:
+                    got = None
+                assert got == want, (name, a, drawn)
+                verdicts.add(got is None or got[:4])
+    assert {"homo", "not "} <= verdicts

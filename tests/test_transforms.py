@@ -12,6 +12,7 @@ from oracles import (
     empty_pp,
     identity_pp,
     identity_transformation,
+    invert,
     pp_from_pairs,
 )
 from semitop.errors import DomainError, EvaluationError
@@ -29,10 +30,8 @@ from semitop.transforms import (
     PartialPerm,
     Transformation,
     UNDEFINED,
-    _value_at,
     agree_on_window,
     compose,
-    invert,
     lazy_extend,
     lazy_to_doc,
     pair_index,
@@ -187,19 +186,6 @@ def test_lazy_extend_keeps_lazy_maps_and_refuses_other_images():
     assert lazy_extend(Const(3)) == Const(3)
     with pytest.raises(DomainError, match="cannot view tuple as a lazy map"):
         lazy_extend((1, 0))
-
-
-def test_value_at_reads_each_kind_of_image():
-    t = Transformation(3, (2, 0, 1))
-    assert [_value_at(t, x) for x in range(3)] == [2, 0, 1]
-    with pytest.raises(EvaluationError):
-        _value_at(t, 3)
-    p = pp_from_pairs(3, [(1, 2)])
-    assert [_value_at(p, x) for x in range(5)] == [None, 2, None, None, None]
-    assert [_value_at(lazy_extend(t), x) for x in range(5)] == [2, 0, 1, 3, 4]
-    assert _value_at(UNDEFINED, 7) is None
-    with pytest.raises(DomainError):
-        _value_at((2, 0, 1), 0)
 
 
 @pytest.mark.parametrize("m, doc", [
