@@ -25,6 +25,7 @@ from .core import (
     Congruence,
     NotInverse,
     _index,
+    _require_inverse,
     canonical_classes,
     check_associativity,
     classify_vp_quotient,
@@ -35,6 +36,7 @@ from .core import (
     parse_semigroup,
 )
 from .embed import (
+    FINITE,
     adjoin_embed,
     cayley_right_regular,
     clifford_product_embed,
@@ -117,9 +119,8 @@ def _load_json(path):
         raise LoadError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _labels(sem, mask_or_points):
-    pts = points_of(mask_or_points) if isinstance(mask_or_points, int) else mask_or_points
-    return "{" + ", ".join(sem.label(x) for x in pts) + "}"
+def _labels(sem, mask):
+    return "{" + ", ".join(sem.label(x) for x in points_of(mask)) + "}"
 
 
 # -- catalog -------------------------------------------------------------------
@@ -249,9 +250,7 @@ def cmd_check(args) -> int:
                 if not ok:
                     lines.append("some x*x^-1 differs from x^-1*x")
         elif kind == "vp":
-            got = inverse_structure(sem)
-            if isinstance(got, NotInverse):
-                raise LoadError("the Vagner-Preston test needs an inverse monoid")
+            got = _require_inverse(sem, "the Vagner-Preston test")
             if not isinstance(cong, list):
                 raise LoadError("the Vagner-Preston test needs a 'congruence' list of class ids")
             rho = Congruence(sem, RIGHT, canonical_classes([_index(c, sem.n) for c in cong]))
@@ -318,16 +317,19 @@ def cmd_check(args) -> int:
 
 # -- embed ---------------------------------------------------------------------
 
-def _rep_summary(rep, audit=None):
+def _rep_summary(rep):
+    """One representation's report and whether it passed the audit, which a finite target skips."""
     doc = {"representation": representation_doc(rep),
            "homomorphism": rep.verification, "injective": True}
-    if audit is not None:
-        doc["preimages_open"] = not audit.preimage_failures
-        doc["images_relatively_open"] = not audit.relative_failures
-        # every separating open is read off the value tuples, so none is
-        # undecidable; the key stays so the report format is unchanged
-        doc["undecidable_opens"] = 0
-    return doc
+    if rep.space == FINITE:
+        return doc, True
+    audit = verify_embedding(rep)
+    doc["preimages_open"] = not audit.preimage_failures
+    doc["images_relatively_open"] = not audit.relative_failures
+    # every separating open is read off the value tuples, so none is
+    # undecidable; the key stays so the report format is unchanged
+    doc["undecidable_opens"] = 0
+    return doc, audit.ok
 
 
 def cmd_embed(args) -> int:
@@ -336,43 +338,28 @@ def cmd_embed(args) -> int:
     out = {"schema": 1, "embed": kind}
     failed = False
     lines = []
+    reps = {}  # report key -> representation; None is the top level
 
     if kind == "cayley":
-        rep = cayley_right_regular(parse_semigroup(doc))
-        audit = verify_embedding(rep)
-        out.update(_rep_summary(rep, audit))
-        failed = not audit.ok
+        rep = reps[None] = cayley_right_regular(parse_semigroup(doc))
         lines.append(f"acts on window {rep.window}; verification {rep.verification}")
     elif kind == "wp":
-        sem = parse_semigroup(doc)
-        got = inverse_structure(sem)
-        if isinstance(got, NotInverse):
-            raise LoadError(f"element {got.witness} has {got.inverse_count} inverses; "
-                            "the partial-bijection action needs an inverse semigroup")
-        rep = wagner_preston(got)
-        audit = verify_embedding(rep)
+        got = _require_inverse(parse_semigroup(doc), "the partial-bijection action")
+        rep = reps[None] = wagner_preston(got)
         keeps = preserves_inversion(rep, got)
-        out.update(_rep_summary(rep, audit))
         out["preserves_inversion"] = keeps
-        failed = not audit.ok or not keeps
+        failed = not keeps
         lines.append(f"inversion becomes the relational converse: {keeps}")
     elif kind == "product":
         if (not isinstance(doc, dict) or doc.get("kind") != "product"
                 or not isinstance(doc.get("factors"), list)):
             raise LoadError("product input needs {'kind': 'product', 'factors': [...]}")
         factors = [cayley_right_regular(parse_semigroup(d)) for d in doc["factors"]]
-        rep = product_embed(factors)
-        audit = verify_embedding(rep)
-        out.update(_rep_summary(rep, audit))
-        failed = not audit.ok
+        rep = reps[None] = product_embed(factors)
         lines.append(f"{len(factors)} factor blocks, evaluation window {rep.window}")
     elif kind == "adjoin":
         base = cayley_right_regular(parse_semigroup(doc))
-        with_one, with_zero = adjoin_embed(base)
-        audit1, audit0 = verify_embedding(with_one), verify_embedding(with_zero)
-        out["with_identity"] = _rep_summary(with_one, audit1)
-        out["with_zero"] = _rep_summary(with_zero, audit0)
-        failed = not audit1.ok or not audit0.ok
+        reps["with_identity"], reps["with_zero"] = adjoin_embed(base)
         lines.append("external identity and external zero both represented")
     elif kind == "embcl":
         if not isinstance(doc, dict) or doc.get("kind") != "symmetric_inverse":
@@ -380,19 +367,12 @@ def cmd_embed(args) -> int:
         n = _index(doc.get("window"))
         if not 1 <= n <= 4:
             raise LoadError("symmetric inverse monoids are materialized for windows 1..4")
-        rep = embcl_rep(n)
-        audit = verify_embedding(rep)
-        out.update(_rep_summary(rep, audit))
-        failed = not audit.ok
+        rep = reps[None] = embcl_rep(n)
         lines.append(f"all {rep.source.n} partial bijections pushed into the "
                      f"total function space; verification {rep.verification}")
     elif kind == "clifford-product":
-        sem = parse_semigroup(doc)
-        got = inverse_structure(sem)
-        if isinstance(got, NotInverse):
-            raise LoadError("the product packing needs a Clifford inverse semigroup")
-        rep = clifford_product_embed(got)
-        out.update(_rep_summary(rep))
+        got = _require_inverse(parse_semigroup(doc), "the Clifford product packing")
+        rep = reps[None] = clifford_product_embed(got)
         out["factor_sizes"] = [f.n for f in rep.target.factors]
         lines.append(f"target product of {len(rep.target.factors)} factors, "
                      f"size {rep.target.n}; verification {rep.verification}")
@@ -408,13 +388,17 @@ def cmd_embed(args) -> int:
             maps.append(Transformation(win, tuple(_index(v, win) for v in m)))
         laws = shared_image_laws(maps)
         gr = group_restriction(maps)
-        audit = verify_embedding(gr.rep)
-        out.update(_rep_summary(gr.rep, audit))
+        reps[None] = gr.rep
         out["laws"] = {name: ok for name, ok, _ in laws}
         out["common_image"] = list(gr.image)
-        failed = not audit.ok or not all(ok for _, ok, _ in laws)
+        failed = not all(ok for _, ok, _ in laws)
         for name, ok, wit in laws:
             lines.append(f"{name}: {'ok' if ok else f'fails at {wit}'}")
+
+    for key, rep in reps.items():
+        summary, audited = _rep_summary(rep)
+        out.update(summary if key is None else {key: summary})
+        failed = failed or not audited
 
     status = _paint("FAIL", RED) if failed else _paint("OK", GREEN)
     _emit(args, out, [f"embed {kind}: {status}"] + ["  " + line for line in lines])

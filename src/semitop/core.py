@@ -149,16 +149,24 @@ def _associativity(table):
     return None, tuple(gens)
 
 
+def _zero(rows):
+    """The zero of a table, or None.  The left-bracketed product
+    z = 0*1*...*(n-1) is a product with the zero as a factor, so it is the
+    zero if there is one, and z is the zero iff its row and its column hold
+    only z: 2n reads."""
+    n = len(rows)
+    z = reduce(lambda p, x: rows[p][x], range(n))
+    return z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
+
+
 class _Support(dict):
     """``support[a]``: the ascending positions where ``rows[a]`` differs
     from one entry d of the rows, listed the first time row a is asked for.
 
-    d is the zero when the rows have one, else their most common entry.
-    The left-bracketed product z = 0*1*...*(n-1) of the rows is the zero if
-    there is one, since it is a product with the zero as a factor, and z is
-    the zero iff its row and its column hold only z: 2n reads.  Only when
-    they do not are the n^2 entries counted.  d is found at the first ask,
-    so a closure that merges nothing reads nothing.
+    d is the zero when the rows have one (see _zero), else their most
+    common entry; only when there is no zero are the n^2 entries counted.
+    d is found at the first ask, so a closure that merges nothing reads
+    nothing.
     """
 
     def __init__(self, rows):
@@ -167,13 +175,11 @@ class _Support(dict):
 
     @cached_property
     def d(self):
-        rows = self.rows
-        n = len(rows)
-        z = reduce(lambda p, x: rows[p][x], range(n))
-        if rows[z].count(z) == n and all(row[z] == z for row in rows):
+        z = _zero(self.rows)
+        if z is not None:
             return z
         counts = Counter()
-        for row in rows:
+        for row in self.rows:
             counts.update(row)
         return counts.most_common(1)[0][0]
 
@@ -291,6 +297,15 @@ def inverse_structure(s: FinSemigroup):
     return InverseStructure(base=s, inv=tuple(inv), idempotents=idempotents(s))
 
 
+def _require_inverse(s: FinSemigroup, need: str) -> InverseStructure:
+    """The InverseStructure of s, or one DomainError naming need and a witness."""
+    got = inverse_structure(s)
+    if isinstance(got, NotInverse):
+        raise DomainError(f"{need} needs an inverse semigroup: element "
+                          f"{s.label(got.witness)} has {got.inverse_count} inverses")
+    return got
+
+
 def is_clifford(inv: InverseStructure) -> bool:
     """True iff x*x^-1 == x^-1*x for every x."""
     t = inv.base.table
@@ -307,20 +322,31 @@ def natural_order(s: FinSemigroup, e: int, f: int) -> bool:
     return t[e][f] == e
 
 
+def _group_unit(rows, members):
+    """The identity of members under the associative table rows when they
+    form a group, else None: they must be closed, hold exactly one
+    idempotent e, and e must be neutral on them.  Every x of a finite
+    semigroup has an idempotent power x^k (Howie, Fundamentals of Semigroup
+    Theory, 1995, 1.2), which can only be e, so x^(k-1) (e when k = 1)
+    inverts x."""
+    members = tuple(members)
+    idem = [x for x in members if rows[x][x] == x]
+    if len(idem) != 1:
+        return None
+    e, inside = idem[0], set(members)
+    neutral = all(rows[e][x] == x == rows[x][e] for x in members)
+    closed = all(rows[x][y] in inside for x in members for y in members)
+    return e if neutral and closed else None
+
+
 def maximal_subgroup(inv: InverseStructure, e: int) -> tuple[int, ...]:
-    """H_e = all x with x*x^-1 == e == x^-1*x; verified closed under product
-    and inverse."""
+    """H_e = all x with x*x^-1 == e == x^-1*x, verified to be a group with identity e."""
     t = inv.base.table
     if t[e][e] != e:
         raise DomainError(f"{e} is not idempotent")
     h = tuple(x for x in range(inv.n) if t[x][inv.inv[x]] == e and t[inv.inv[x]][x] == e)
-    members = set(h)
-    for x in h:
-        if inv.inv[x] not in members:
-            raise TheoremViolationError(f"H_{e} not closed under inverse at {x}")
-        for y in h:
-            if t[x][y] not in members:
-                raise TheoremViolationError(f"H_{e} not closed under product at ({x}, {y})")
+    if _group_unit(t, h) != e:
+        raise TheoremViolationError(f"H_{e} is not a group with identity {e}")
     return h
 
 
@@ -660,21 +686,6 @@ class VPClassification:
     zero_class: int | None
 
 
-def _is_group(s: FinSemigroup, members) -> bool:
-    members = list(members)
-    idem = [e for e in members if s.table[e][e] == e]
-    if len(idem) != 1:
-        return False
-    e = idem[0]
-    for x in members:
-        if s.table[e][x] != x or s.table[x][e] != x:
-            return False
-        if not any(s.table[x][y] == e and s.table[y][x] == e for y in members):
-            return False
-    mset = set(members)
-    return all(s.table[x][y] in mset for x in members for y in members)
-
-
 def classify_vp_quotient(inv: InverseStructure, rho: Congruence) -> VPClassification:
     """Classify M/rho as a group or a group with adjoined zero.
 
@@ -689,14 +700,13 @@ def classify_vp_quotient(inv: InverseStructure, rho: Congruence) -> VPClassifica
     if not is_vagner_preston(inv, rho):
         raise DomainError("congruence is not Vagner-Preston")
     q, proj = quotient(m, Congruence(m, TWO_SIDED, rho.classes))
-    zeros = [z for z in range(q.n) if all(q.table[z][x] == z and q.table[x][z] == z for x in range(q.n))]
-    if zeros and q.n > 1:
-        z = zeros[0]
-        rest = [x for x in range(q.n) if x != z]
-        if _is_group(q, rest):
-            return VPClassification("group-with-zero", q, proj, tuple(rest), z)
+    z = _zero(q.table)
+    if z is not None and q.n > 1:
+        rest = tuple(x for x in range(q.n) if x != z)
+        if _group_unit(q.table, rest) is not None:
+            return VPClassification("group-with-zero", q, proj, rest, z)
         raise TheoremViolationError("quotient has a zero but the rest is not a group")
-    if _is_group(q, range(q.n)):
+    if _group_unit(q.table, range(q.n)) is not None:
         return VPClassification("group", q, proj, tuple(range(q.n)), None)
     raise TheoremViolationError("quotient is neither a group nor a group with zero")
 

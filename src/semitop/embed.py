@@ -16,6 +16,7 @@ from operator import getitem, itemgetter, ne
 from .core import (
     FinSemigroup,
     InverseStructure,
+    _group_unit,
     adjoin_identity,
     adjoin_zero,
     is_clifford,
@@ -348,9 +349,9 @@ def embcl_rep(n: int) -> RepresentationMap:
 # -- shared-image transformation groups ---------------------------------------
 
 def transformation_group(maps, name=""):
-    """Interpret a tuple of window transformations as a group: verify closure,
-    locate the neutral element and all inverses, and return the abstract
-    table together with unit index and inverse vector."""
+    """Interpret a tuple of window transformations as a group: verify closure
+    and the group rule (see core._group_unit), and return the abstract table
+    together with unit index and inverse vector."""
     maps = tuple(maps)
     if not maps:
         raise DomainError("empty generator list")
@@ -363,19 +364,12 @@ def transformation_group(maps, name=""):
             raise DomainError(f"element {i} repeats element {index[m.map]}")
         index[m.map] = i
     table = composition_table(maps)
-    units = [e for e in range(len(maps))
-             if all(table[e][x] == x and table[x][e] == x for x in range(len(maps)))]
-    if len(units) != 1:
-        raise DomainError(f"expected one neutral element, found {len(units)}")
-    unit = units[0]
-    inv = []
-    for x in range(len(maps)):
-        found = [y for y in range(len(maps)) if table[x][y] == unit and table[y][x] == unit]
-        if len(found) != 1:
-            raise DomainError(f"element {x} has {len(found)} inverses")
-        inv.append(found[0])
-    group = FinSemigroup(tuple(table), name=name, identity=unit)
-    return group, unit, tuple(inv)
+    unit = _group_unit(table, range(len(maps)))
+    if unit is None:
+        raise DomainError("not a group: the maps must hold one idempotent, neutral on all")
+    # each row of a group table is a permutation, so x*y == unit once
+    inv = tuple(row.index(unit) for row in table)
+    return FinSemigroup(table, name=name, identity=unit), unit, inv
 
 
 def shared_image_laws(maps):
@@ -602,7 +596,10 @@ def verify_embedding(rep: RepresentationMap, source_top=None) -> EmbeddingReport
     traces of those opens on the image set (relative openness).  Each
     separating open pins one window point to one value, so its trace is read
     off the value tuples and every membership is decided.  A None source
-    means the discrete topology without materializing it.
+    means the discrete topology, without materializing it, and there every
+    injective representation passes: every preimage is open, and for images
+    u != v that first differ at x, the separating open (x, u[x]) has a trace
+    holding u but not v, so each image point is relatively open.
     """
     if isinstance(source_top, TopSemigroup):
         source_top = source_top.top

@@ -23,6 +23,7 @@ from .core import (
     _close,
     canonical_classes,
     is_semilattice,
+    subsemigroup,
 )
 from .errors import DomainError, KindError, LoadError, SizeError, TheoremViolationError
 from .semigroups import (
@@ -450,8 +451,7 @@ def _right_simple_zero(w, variant):
     table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
     names = tuple(f"({g.label(s)},{r})" for s in range(k) for r in range(w)) + ("0",)
     base = FinSemigroup(table, names=names, name=f"rs_{variant}{w}")
-    ok, bad = right_simple_check(FinSemigroup(
-        tuple(tuple(table[a][b] for b in range(n - 1)) for a in range(n - 1))))
+    ok, bad = right_simple_check(subsemigroup(base, range(n - 1))[0])
     if not ok:
         raise TheoremViolationError(f"carrier is not right simple at {bad}")
     target = EscapeTarget(

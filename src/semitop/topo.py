@@ -16,9 +16,9 @@ from .core import (
     FinSemigroup,
     InverseStructure,
     _index,
+    _require_inverse,
     congruence_closure,
     enumerate_congruences,
-    inverse_structure,
     is_semilattice,
     parse_semigroup,
     semigroup_doc,
@@ -165,11 +165,6 @@ class TopSpec:
         full = (1 << self.n) - 1
         return mask in self.opens and (full ^ mask) in self.opens
 
-    def min_nbhd(self, x) -> int:
-        """Smallest open set containing x; exists because the open family is
-        finite and intersection-closed."""
-        return self.nbhds[x]
-
     def isolated_points(self) -> int:
         return mask_of(x for x, v in enumerate(self.nbhds) if v == 1 << x)
 
@@ -282,10 +277,7 @@ class DitopReport:
 
 def _ditop_core(ts: TopSemigroup, weak: bool) -> DitopReport:
     s = ts.sem
-    inv = inverse_structure(s)
-    if not isinstance(inv, InverseStructure):
-        raise DomainError(f"not an inverse semigroup: element {inv.witness} "
-                          f"has {inv.inverse_count} inverses")
+    inv = _require_inverse(s, "the weak ditopological check" if weak else "the ditopological check")
     inv_ok, inv_wit = inversion_continuity_check(ts, inv)
     nb = ts.top.nbhds
     emask = mask_of(inv.idempotents)
@@ -353,7 +345,7 @@ def u_check(ts: TopSemigroup, x) -> tuple[bool, tuple | None]:
     open only constrains where y may come from, and smaller is harder."""
     if not is_semilattice(ts.sem):
         raise DomainError("U property is defined for semilattices")
-    nx = ts.top.min_nbhd(x)
+    nx = ts.top.nbhds[x]
     for y in points_of(nx):
         if nx & ~up_set(ts.sem, y) == 0:
             return True, (y, nx)
@@ -366,7 +358,7 @@ def u2_check(ts: TopSemigroup, x) -> tuple[bool, tuple | None]:
     if not is_semilattice(ts.sem):
         raise DomainError("U2 property is defined for semilattices")
     full = (1 << ts.sem.n) - 1
-    nx = ts.top.min_nbhd(x)
+    nx = ts.top.nbhds[x]
     ideals = enumerate_clopen_ideals(ts)
     for y in points_of(nx):
         cone = up_set(ts.sem, y)

@@ -11,7 +11,7 @@ import pytest
 
 import semitop
 from semitop.cli import main
-from semitop.core import Congruence, FinSemigroup, semigroup_doc
+from semitop.core import Congruence, FinSemigroup, inverse_structure, semigroup_doc
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
@@ -23,7 +23,7 @@ from semitop.semigroups import (
 )
 from semitop.transforms import PairBlock
 from semitop.obstruct import certificate_doc, escape_certificate, get_instance
-from semitop.topo import bundled_top_semigroups, presentation_doc, top_spec_doc
+from semitop.topo import TopSpec, bundled_top_semigroups, presentation_doc, top_spec_doc
 
 
 def write(tmp_path, name, doc):
@@ -493,6 +493,28 @@ def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, d
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, kind, need", [
+    ("check", "vp", "the Vagner-Preston test"),
+    ("check", "ditop", "the ditopological check"),
+    ("check", "weak-ditop", "the weak ditopological check"),
+    ("embed", "wp", "the partial-bijection action"),
+    ("embed", "clifford-product", "the Clifford product packing"),
+])
+def test_non_inverse_input_is_refused_with_its_witness(tmp_path, capsys, command, kind, need):
+    l2 = left_zero(2)
+    got = inverse_structure(l2)
+    assert got.inverse_count == 2  # each element is an inverse of each
+    if command == "check":
+        f = bundle_file(tmp_path, l2, TopSpec.discrete(2), congruence=[0, 1])
+    else:
+        f = sem_file(tmp_path, l2)
+    assert main([command, kind, f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {need} needs an inverse semigroup: element "
+                            f"{l2.label(got.witness)} has {got.inverse_count} inverses\n")
 
 
 def test_unreadable_input_gives_one_error_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tables, congruences, closures, quotients."""
 
+import itertools
 import json
 
 import pytest
@@ -13,6 +14,8 @@ from semitop.core import (
     FinSemigroup,
     NotInverse,
     _close,
+    _group_unit,
+    _zero,
     adjoin_identity,
     adjoin_zero,
     canonical_classes,
@@ -54,6 +57,7 @@ from semitop.semigroups import (
     left_zero,
     right_zero,
     signed_antichain_with_zero,
+    symmetric_group,
     symmetric_inverse_monoid,
     trivial_monoid,
 )
@@ -412,6 +416,93 @@ def test_classify_vp_group_kind():
     cls0 = classify_vp_quotient(inverse_structure(adjoin_zero(z3)),
                                 diagonal(adjoin_zero(z3)))
     assert cls0.kind == "group-with-zero"
+
+
+SMALL_TABLES = [(name, s.table) for name, s in
+                embedding_catalog() + commutative_inverse_monoid_catalog() if s.n <= 7]
+
+
+def one_entry_mutations(table):
+    """Every table that differs from table in exactly one entry."""
+    n = len(table)
+    for a, b in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v != table[a][b]:
+                rows = [list(row) for row in table]
+                rows[a][b] = v
+                yield f"{a}*{b}={v}", rows
+
+
+def group_identity_by_definition(rows, members):
+    """The identity of members when they are closed under rows and hold a
+    two-sided identity and a two-sided inverse of each member, else None."""
+    inside = set(members)
+    if any(rows[x][y] not in inside for x in inside for y in inside):
+        return None
+    units = [e for e in inside if all(rows[e][x] == x == rows[x][e] for x in inside)]
+    if len(units) != 1:
+        return None
+    e = units[0]
+    if all(any(rows[x][y] == e == rows[y][x] for y in inside) for x in inside):
+        return e
+    return None
+
+
+def associative_on(rows, members):
+    return all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+               for a, b, c in itertools.product(members, repeat=3))
+
+
+def test_group_rule_matches_the_definition_on_every_small_subset():
+    checked = 0
+    for name, table in SMALL_TABLES:
+        for k in range(len(table) + 1):
+            for members in itertools.combinations(range(len(table)), k):
+                assert _group_unit(table, members) == group_identity_by_definition(
+                    table, members), (name, members)
+                checked += 1
+    assert checked == 474
+
+
+def test_group_rule_matches_the_definition_where_a_mutated_table_is_associative():
+    """The rule is stated for associative tables.  No one-entry mutation of
+    Z4 or S3 is associative as a whole, but many member sets are closed and
+    associative under one, and every set that is not closed is refused."""
+    for group in (cyclic_group(4), symmetric_group(3)):
+        compared = 0
+        for where, rows in one_entry_mutations(group.table):
+            with pytest.raises(MalformedTableError):
+                FinSemigroup(rows)
+            for k in range(len(rows) + 1):
+                for members in itertools.combinations(range(len(rows)), k):
+                    closed = all(rows[x][y] in members for x in members for y in members)
+                    if closed and not associative_on(rows, members):
+                        continue
+                    assert _group_unit(rows, members) == group_identity_by_definition(
+                        rows, members), (group.name, where, members)
+                    compared += closed
+        assert compared == {4: 137, 6: 982}[group.n]
+
+
+def zero_by_scan(rows):
+    n = len(rows)
+    zeros = [z for z in range(n) if all(rows[z][x] == z == rows[x][z] for x in range(n))]
+    return zeros[0] if zeros else None
+
+
+def test_zero_rule_matches_the_scan():
+    """The rule needs no associativity, so every mutation is compared;
+    the ones of tables with a zero keep it or lose it."""
+    tables = list(SMALL_TABLES)
+    for name in ("Z4", "S3", "Z3^0", "chain4", "B2", "antichain3^01"):
+        mutations = one_entry_mutations(dict(SMALL_TABLES)[name])
+        tables += [(f"{name} {where}", rows) for where, rows in mutations]
+    counts = [0, 0]
+    for name, rows in tables:
+        zero = zero_by_scan(rows)
+        assert _zero(rows) == zero, name
+        counts[zero is None] += 1
+    assert counts == [197, 350]  # with a zero, without one
 
 
 def test_subsemigroup_extraction():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -431,3 +432,47 @@ def test_idempotent_images_are_idempotent():
         for e in idempotents(s):
             img = rep.images[e]
             assert compose(img, img) == img
+
+
+def _builder_outputs():
+    """What the builders give on the catalogs and fixtures these tests use,
+    except the finite product packing, whose target has no opens."""
+    out = []
+    for _, s in embedding_catalog():
+        base = cayley_right_regular(s)
+        out += [base, *adjoin_embed(base)]
+        inv = inverse_structure(s)
+        if not isinstance(inv, NotInverse):
+            out.append(wagner_preston(inv))
+    small = [rep for rep in out if rep.source.n <= 3]
+    out += [product_embed([a, b]) for a, b in itertools.combinations(small, 2)
+            if a.space == b.space]
+    out += [embcl_rep(n) for n in range(1, 5)]
+    out += [group_restriction(maps, name).rep for name, maps in bundled_group_fixtures()]
+    return out
+
+
+def test_discrete_audit_passes_on_every_builder_output():
+    reps = _builder_outputs()
+    assert len(reps) == 141 and {rep.space for rep in reps} == {NN, IN}
+    for rep in reps:
+        report = verify_embedding(rep)
+        assert report.ok, rep.name
+        assert not report.preimage_failures and not report.relative_failures, rep.name
+
+
+def test_discrete_audit_passes_on_every_family_of_distinct_value_tuples():
+    """Injectivity alone passes the audit against the discrete source: every
+    preimage is open, and tuples u != v that first differ at x are told apart
+    by the separating open (x, u[x]), whose trace holds u but not v."""
+    rng = random.Random(23)
+    for trial in range(2400):
+        space = (NN, IN)[trial % 2]
+        window = rng.randint(1, 4)
+        points = [*range(window)] + ([None] if space == IN else [])
+        tuples = list(itertools.product(points, repeat=window))
+        values = tuple(rng.sample(tuples, rng.randint(1, min(8, len(tuples)))))
+        stand_in = SimpleNamespace(space=space, values=values,
+                                   source=SimpleNamespace(n=len(values)))
+        report = verify_embedding(stand_in)
+        assert report.ok, (space, values)

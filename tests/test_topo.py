@@ -78,7 +78,7 @@ def test_top_spec_validation_and_queries():
             build()
     t = SIERPINSKI
     assert 0b01 in t.opens and 0b10 not in t.opens
-    assert t.min_nbhd(0) == 0b01 and t.min_nbhd(1) == 0b11
+    assert t.nbhds[0] == 0b01 and t.nbhds[1] == 0b11
     assert t.interior(0b10) == 0
     assert t.closure_of(0b01) == 0b11
     assert t.closure_of(0b10) == 0b10
@@ -108,9 +108,9 @@ def test_continuity_witness_is_real():
     ok, wit = continuity_check(z2, SIERPINSKI)
     assert not ok
     a, b, c, d = wit
-    nb = SIERPINSKI.min_nbhd
-    assert (nb(a) >> c) & 1 and (nb(b) >> d) & 1
-    assert not (nb(z2.mul(a, b)) >> z2.mul(c, d)) & 1
+    nb = SIERPINSKI.nbhds
+    assert (nb[a] >> c) & 1 and (nb[b] >> d) & 1
+    assert not (nb[z2.mul(a, b)] >> z2.mul(c, d)) & 1
     with pytest.raises(DomainError):
         TopSemigroup(z2, SIERPINSKI)
 
@@ -295,7 +295,7 @@ def test_presentation_materializes_a_topology():
         for v in fam:
             assert v in spec.opens
     for x in range(pres.base.n):
-        assert spec.min_nbhd(x) == pres.nbhds[x]
+        assert spec.nbhds[x] == pres.nbhds[x]
 
 
 def test_presentation_continuity_on_catalog():
