@@ -76,7 +76,7 @@ def _light_holds(rows, g):
     """
     cols = sorted(set(rows[g]))
     if 2 * len(cols) > len(rows):
-        times_g_row = itemgetter(*rows[g])  # times_g_row(rows[x])[y] == x*(g*y)
+        times_g_row = _gather(rows[g])  # times_g_row(rows[x])[y] == x*(g*y)
         return all(rows[row[g]] == times_g_row(row) for row in rows)
     return _light_holds_on(rows, g, cols)
 
@@ -88,11 +88,9 @@ def _light_holds_on(rows, g, cols):
     expanded once through the positions of g's row and compared with row
     x*g: n |gS| + keys n lookups instead of n^2.
     """
-    if len(cols) == 1:  # itemgetter of one index gives a bare entry: repeat it
-        cols = cols * 2
     at = {c: i for i, c in enumerate(cols)}
-    expand = itemgetter(*map(at.get, rows[g]))  # expand(row x on cols)[y] == x*(g*y)
-    keys = set(zip(map(itemgetter(g), rows), map(itemgetter(*cols), rows)))
+    expand = _gather(map(at.get, rows[g]))  # expand(row x on cols)[y] == x*(g*y)
+    keys = set(zip(map(itemgetter(g), rows), map(_gather(cols), rows)))
     return all(rows[xg] == expand(on_gs) for xg, on_gs in keys)
 
 
@@ -135,8 +133,7 @@ def _associativity(table):
                 raise MalformedTableError(f"entry {v!r} out of range 0..{n - 1}")
     rows = [tuple(row) for row in table]
     gens = _greedy_generators(rows)
-    # [[0]] is the only valid table below two points; itemgetter of one index is no tuple
-    if n < 2 or all(_light_holds(rows, g) for g in gens):
+    if all(_light_holds(rows, g) for g in gens):
         return None, tuple(gens)
     for a in range(n):
         ta = table[a]
@@ -147,6 +144,17 @@ def _associativity(table):
                 if table[ab][c] != ta[tb[c]]:
                     return (a, b, c), None
     return None, tuple(gens)
+
+
+def _gather(positions):
+    """A reader of a sequence at the given positions into a tuple.  It is
+    itemgetter(*positions), which reads at C speed, for two or more
+    positions; itemgetter alone gives a bare entry for one position and
+    refuses none."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple([seq[p] for p in positions])
 
 
 def _zero(rows):
@@ -161,12 +169,10 @@ def _zero(rows):
 
 class _Support(dict):
     """``support[a]``: the ascending positions where ``rows[a]`` differs
-    from one entry d of the rows, listed the first time row a is asked for.
-
-    d is the zero when the rows have one (see _zero), else their most
-    common entry; only when there is no zero are the n^2 entries counted.
-    d is found at the first ask, so a closure that merges nothing reads
-    nothing.
+    from the zero d of the rows (see _zero), listed the first time row a is
+    asked for.  Rows without a zero have d None, which every entry differs
+    from, so their supports are whole rows.  d is found at the first ask,
+    so a closure that merges nothing reads nothing.
     """
 
     def __init__(self, rows):
@@ -175,13 +181,7 @@ class _Support(dict):
 
     @cached_property
     def d(self):
-        z = _zero(self.rows)
-        if z is not None:
-            return z
-        counts = Counter()
-        for row in self.rows:
-            counts.update(row)
-        return counts.most_common(1)[0][0]
+        return _zero(self.rows)
 
     def __missing__(self, a):
         row = self.rows[a]
@@ -238,14 +238,13 @@ class FinSemigroup:
 
     @cached_property
     def row_support(self) -> _Support:
-        """Where each row differs from the zero, or else from the most
-        common entry of the table."""
+        """Where each row differs from the zero: the whole row without one."""
         return _Support(self.table)
 
     @cached_property
     def column_support(self) -> _Support:
-        """Where each column differs from the zero, or else from the most
-        common entry."""
+        """Where each column differs from the zero: the whole column
+        without one."""
         return _Support(self.columns)
 
 
@@ -381,8 +380,9 @@ def canonical_classes(vec) -> tuple[int, ...]:
 
 def _translate_holds(c, size, line, support, cd):
     """Whether x -> line[x] sends each class of the class vector c into one
-    class, when line[x] is d, of class cd, at every x outside the ascending
-    list support; size[a] is the number of members of class a.
+    class, when line[x] is the zero, of class cd, at every x outside the
+    ascending list support; size[a] is the number of members of class a.
+    With no zero, cd is None and the support is the whole line.
 
     The members in the support must send each class to one class.  A class
     with members outside the support also goes to cd, so a class sent
@@ -413,7 +413,7 @@ class Congruence:
     of S (Howie, Fundamentals of Semigroup Theory, 1995, 1.5).  Left
     stability is the mirror image.  Each generator g is checked on its
     column support alone (its row support for the left side), the x with
-    x*g other than the column entry d, the zero when there is one (see
+    x*g other than the zero of the table, every x when there is none (see
     _Support and _translate_holds); the class sizes are counted once per
     partition.  A Brandt column of window w has a support of w places, so
     a branch of that carrier costs O(n + w |G|) = O(w^2) reads, not n |G|.
@@ -447,7 +447,8 @@ class Congruence:
             if self.kind == TWO_SIDED:
                 translates.append((self.base.table, self.base.row_support))
             size = Counter(c)
-            if all(_translate_holds(c, size, lines[g], support[g], c[support.d])
+            if all(_translate_holds(c, size, lines[g], support[g],
+                                    None if support.d is None else c[support.d])
                    for lines, support in translates for g in gens):
                 return
         # comparing every member against its block representative covers all
@@ -458,9 +459,9 @@ class Congruence:
         for block in self.blocks():
             rep = block[0]
             for rows, message in sides:
-                want = itemgetter(*rows[rep])(c)
+                want = _gather(rows[rep])(c)
                 for x in block[1:]:
-                    got = itemgetter(*rows[x])(c)
+                    got = _gather(rows[x])(c)
                     if got != want:
                         s = next(i for i in range(n) if got[i] != want[i])
                         raise KindError(message.format(rep=rep, x=x, s=s))
@@ -520,12 +521,12 @@ def _close(s: FinSemigroup, seeds, kind):
     partition.
 
     Only the multipliers in E[a] | E[b] are read, where E[x] is the support
-    of row x: the positions where it differs from one entry d of the table
-    (s.row_support; s.column_support, with its own d, for the left side).
-    Any m outside both has a*m == d == b*m, a pair that joins nothing, so
-    the scan finds the same multipliers in the same order.  With d the
-    zero, a Brandt row of window w has a support of w out of w*w + 1
-    places, so a union costs O(w) instead of O(w^2).
+    of row x: the positions where it differs from the zero d of the table
+    (s.row_support; s.column_support, whose zero is the same, for the left
+    side), the whole row when there is no zero.  Any m outside both has
+    a*m == d == b*m, a pair that joins nothing, so the scan finds the same
+    multipliers in the same order.  A Brandt row of window w has a support
+    of w out of w*w + 1 places, so a union costs O(w) instead of O(w^2).
     """
     if kind not in (RIGHT, TWO_SIDED):
         raise KindError(f"unknown congruence kind {kind!r}")
@@ -681,9 +682,6 @@ class VPClassification:
 
     kind: str  # "group" | "group-with-zero"
     quotient: FinSemigroup
-    projection: tuple[int, ...]
-    group_part: tuple[int, ...]
-    zero_class: int | None
 
 
 def classify_vp_quotient(inv: InverseStructure, rho: Congruence) -> VPClassification:
@@ -699,15 +697,14 @@ def classify_vp_quotient(inv: InverseStructure, rho: Congruence) -> VPClassifica
         raise DomainError("classification needs a commutative monoid")
     if not is_vagner_preston(inv, rho):
         raise DomainError("congruence is not Vagner-Preston")
-    q, proj = quotient(m, Congruence(m, TWO_SIDED, rho.classes))
+    q = quotient(m, Congruence(m, TWO_SIDED, rho.classes))[0]
     z = _zero(q.table)
     if z is not None and q.n > 1:
-        rest = tuple(x for x in range(q.n) if x != z)
-        if _group_unit(q.table, rest) is not None:
-            return VPClassification("group-with-zero", q, proj, rest, z)
+        if _group_unit(q.table, (x for x in range(q.n) if x != z)) is not None:
+            return VPClassification("group-with-zero", q)
         raise TheoremViolationError("quotient has a zero but the rest is not a group")
     if _group_unit(q.table, range(q.n)) is not None:
-        return VPClassification("group", q, proj, tuple(range(q.n)), None)
+        return VPClassification("group", q)
     raise TheoremViolationError("quotient is neither a group nor a group with zero")
 
 

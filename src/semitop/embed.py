@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import getitem, itemgetter, ne
+from operator import getitem, ne
 
 from .core import (
     FinSemigroup,
     InverseStructure,
+    _gather,
     _group_unit,
     adjoin_identity,
     adjoin_zero,
@@ -149,17 +150,6 @@ class RepresentationMap:
         if _law_failure(values, rows, operand, reader, self.source.generators):
             a, b = _law_failure(values, rows, operand, reader, range(n))
             raise TheoremViolationError(f"homomorphism fails at ({a}, {b})")
-
-
-def _gather(positions):
-    """A reader of a sequence at the given positions into a tuple.  It is
-    itemgetter(*positions), which reads at C speed, for two or more
-    positions; itemgetter alone gives a bare entry for one position and
-    refuses none."""
-    positions = tuple(positions)
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda seq: tuple([seq[p] for p in positions])
 
 
 _HOLE_LAST = {None: -1}  # position of a value in a hole-padded tuple
@@ -414,9 +404,6 @@ def shared_image_laws(maps):
 @dataclass(frozen=True)
 class GroupRestriction:
     rep: RepresentationMap
-    group: FinSemigroup
-    maps: tuple
-    unit: int
     image: tuple[int, ...]
 
 
@@ -438,7 +425,7 @@ def group_restriction(maps, name="G") -> GroupRestriction:
         pperms.append(pp)
     rep = RepresentationMap(source=group, images=tuple(pperms), space=IN, window=win,
                             name=f"restrict_{name}")
-    return GroupRestriction(rep=rep, group=group, maps=maps, unit=unit, image=image)
+    return GroupRestriction(rep=rep, image=image)
 
 
 def bundled_group_fixtures():
@@ -460,7 +447,6 @@ def bundled_group_fixtures():
 
 @dataclass(frozen=True)
 class CliffordDecomposition:
-    inv: InverseStructure
     semilattice: FinSemigroup
     idem: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
@@ -492,7 +478,7 @@ def clifford_decompose(inv: InverseStructure) -> CliffordDecomposition:
             ef = t[e][f]
             if t[x][y] != t[t[x][ef]][t[y][ef]]:
                 raise TheoremViolationError(f"strong product law fails at ({x}, {y})")
-    return CliffordDecomposition(inv=inv, semilattice=sl, idem=idem, components=comps)
+    return CliffordDecomposition(semilattice=sl, idem=idem, components=comps)
 
 
 def clifford_product_embed(inv: InverseStructure) -> RepresentationMap:

@@ -103,6 +103,20 @@ def bits(mask):
     return out
 
 
+def first_discontinuity_by_four_loops(table, points, nb):
+    """(True, None), or (False, the least (a, b, c, d)) with a and b among
+    points, c in nb[a], d in nb[b] and c*d outside nb[a*b]: every quadruple
+    scanned in order."""
+    for a in points:
+        for b in points:
+            target = nb[table[a][b]]
+            for c in bits(nb[a]):
+                for d in bits(nb[b]):
+                    if not (target >> table[c][d]) & 1:
+                        return False, (a, b, c, d)
+    return True, None
+
+
 def upper_cone(table, y):
     """{z : z >= y} in a meet-semilattice: y*z = y."""
     return {z for z in range(len(table)) if table[y][z] == y}

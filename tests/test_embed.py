@@ -235,7 +235,7 @@ def test_transformation_group_rejections():
 def test_group_restriction_values():
     maps = dict(bundled_group_fixtures())["Z2_shared"]
     gr = group_restriction(maps)
-    assert gr.image == (0, 1) and gr.unit == 0
+    assert gr.image == (0, 1) and transformation_group(maps)[1] == 0
     assert [p.map for p in gr.rep.images] == [(0, 1, None, None), (1, 0, None, None)]
     assert gr.rep.space == IN
     assert verify_embedding(gr.rep).ok

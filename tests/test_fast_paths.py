@@ -3,8 +3,9 @@
 The closure engine reads only the supports of the rows it merges, the
 stability check in ``Congruence`` reads only the generators of its base,
 each on its column (or row) support, the supports are taken against the
-zero when there is one, the union-find, Light's test restricted to the
-columns gS and the Brandt table builder gather over whole rows at C speed;
+zero when there is one and are whole rows otherwise, the union-find,
+Light's test restricted to the columns gS and the Brandt table builder
+gather over whole rows at C speed;
 the transformation and partial-bijection tables compose value tuples
 directly.
 Every test here restates the element-by-element definition and requires
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 
 from oracles import growth_vectors, left_stable, right_stable
 from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
-                          _light_holds, _light_holds_on, _Support, _translate_holds, _UnionFind,
-                          canonical_classes, congruence_closure)
+                          _gather, _light_holds, _light_holds_on, _Support, _translate_holds,
+                          _UnionFind, canonical_classes, congruence_closure)
 from semitop.errors import DomainError, KindError
 from semitop.obstruct import escape_certificate, forcing_closure, get_instance, verify_certificate
 from semitop.semigroups import (
@@ -98,9 +99,8 @@ def test_close_matches_the_multiplier_loop_on_every_branch(instance_id, window):
 def magma(table, d):
     """A stand-in for FinSemigroup holding what the closure engine reads: n,
     the table, its columns, and the supports of rows and columns, here
-    against the drawn entry d instead of the zero or the most common one.
-    Any entry d gives the same closure; only the scan length depends on
-    it."""
+    against the drawn entry d instead of the zero (None: whole rows).  Any
+    entry d gives the same closure; only the scan length depends on it."""
     columns = tuple(zip(*table))
     supports = _Support(table), _Support(columns)
     for support in supports:
@@ -112,8 +112,9 @@ def magma(table, d):
 @st.composite
 def magmas_with_seeds(draw, dominant=False):
     """A random table (associative or not: the engine reads only what
-    `magma` holds), seed pairs, and a kind.  With dominant, most cells hold
-    one entry, so the supports are short, as in the Brandt carriers."""
+    `magma` holds), seed pairs, and a kind; the supports are taken against
+    d or against None (whole rows).  With dominant, most cells hold d, so
+    the supports against d are short, as in the Brandt carriers."""
     n = draw(st.integers(1, 9 if dominant else 7))
     d = draw(st.integers(0, n - 1))
     cell = st.integers(0, n - 1)
@@ -122,7 +123,8 @@ def magmas_with_seeds(draw, dominant=False):
     row = st.lists(cell, min_size=n, max_size=n).map(tuple)
     table = tuple(draw(st.lists(row, min_size=n, max_size=n)))
     seeds = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
-    return magma(table, d), seeds, draw(st.sampled_from([RIGHT, TWO_SIDED]))
+    support_entry = draw(st.sampled_from([d, None]))
+    return magma(table, support_entry), seeds, draw(st.sampled_from([RIGHT, TWO_SIDED]))
 
 
 @given(st.one_of(magmas_with_seeds(), magmas_with_seeds(dominant=True)))
@@ -227,7 +229,8 @@ def generators_accept(s, kind, vec):
     if kind == TWO_SIDED:
         translates.append((s.table, s.row_support))
     size = Counter(vec)
-    return all(_translate_holds(vec, size, lines[g], support[g], vec[support.d])
+    return all(_translate_holds(vec, size, lines[g], support[g],
+                                None if support.d is None else vec[support.d])
                for lines, support in translates for g in s.generators)
 
 
@@ -254,8 +257,9 @@ def test_support_check_matches_the_per_block_scan_on_every_branch(instance_id, w
     per-block scan, on every branch partition of a catalog instance and on
     one-point moves of each: the same accept or reject, and the same
     message.  Then the supports are taken against other entries d, every
-    entry at small carriers and a drawn few above: the verdict does not
-    depend on d."""
+    entry at small carriers and a drawn few above, and against None, the
+    whole lines of a carrier without a zero: the verdict does not depend on
+    d."""
     s = get_instance(instance_id, window).presentation.base
     rng = random.Random(f"{instance_id}-{window}")
     vecs = branch_partitions(get_instance(instance_id, window), rng, 4)
@@ -266,18 +270,11 @@ def test_support_check_matches_the_per_block_scan_on_every_branch(instance_id, w
             assert rejection(s, kind, vec) == want[kind, vec], (kind, vec)
             assert generators_accept(s, kind, vec) == (want[kind, vec] is None), (kind, vec)
     entries = range(s.n) if s.n <= 20 else rng.sample(range(s.n), 3)
-    for d in entries:
+    for d in (None, *entries):
         t = with_support_entry(s, d)
         for (kind, vec), message in want.items():
             assert generators_accept(t, kind, vec) == (message is None), (d, kind, vec)
             assert rejection(t, kind, vec) == message, (d, kind, vec)
-
-
-def most_common_entry(rows):
-    counts = Counter()
-    for row in rows:
-        counts.update(row)
-    return counts.most_common(1)[0][0]
 
 
 def two_sided_zeros(table):
@@ -301,17 +298,23 @@ def test_support_entry_is_the_zero(instance_id, window):
 NO_ZERO_CASES = [("exB", get_instance("exB", 6).presentation.base), ("Z2", cyclic_group(2)),
                  ("S3", symmetric_group(3)), ("T3", full_transformation_monoid(3)[0]),
                  # 0 and 1 are left zeros and 2*x == 1: the product 0*1*2 is 0, whose
-                 # row is constant and whose column is not, and 1 is the most common
+                 # row is constant and whose column is not
                  ("left zeros", FinSemigroup(((0, 0, 0), (1, 1, 1), (1, 1, 1))))]
 
 
 @pytest.mark.parametrize("name,s", NO_ZERO_CASES, ids=[name for name, _ in NO_ZERO_CASES])
-def test_support_entry_without_a_zero_is_the_most_common_entry(name, s):
+def test_support_without_a_zero_is_the_whole_row(name, s):
     assert two_sided_zeros(s.table) == []
-    for rows in (s.table, s.columns):
-        assert _Support(rows).d == most_common_entry(rows)
-    assert s.row_support.d == most_common_entry(s.table)
-    assert s.column_support.d == most_common_entry(s.columns)
+    for support in (_Support(s.table), _Support(s.columns), s.row_support, s.column_support):
+        assert support.d is None
+        assert all(support[a] == list(range(s.n)) for a in range(s.n))
+
+
+@pytest.mark.parametrize("positions", [(), (2,), (3, 0, 3)])
+def test_gather_reads_a_tuple_at_any_number_of_positions(positions):
+    seq = ("a", "b", "c", "d")
+    assert _gather(positions)(seq) == tuple(seq[p] for p in positions)
+    assert _gather(iter(positions))(seq) == tuple(seq[p] for p in positions)
 
 
 class CountingRows:

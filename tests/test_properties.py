@@ -8,6 +8,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -476,6 +477,22 @@ def test_associativity_matches_triple_scan_on_relabelled_and_mutated_tables(base
     assert _greedy_generators(table) == greedy_generators_by_fixpoint(table, right_cayley)
     if triple is None:
         assert _greedy_generators(table) == greedy_generators_by_fixpoint(table, magma)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_associativity_decides_left_zero_bands_and_their_mutations(n):
+    """Every row of a left-zero band is constant, so |gS| = 1 and Light's
+    test reads one column through the one-position gather; every one-entry
+    mutation must get the triple scan's verdict and witness."""
+    assert check_associativity([]) == (True, None)
+    assert check_associativity([[0]]) == (True, None)
+    band = [list(row) for row in left_zero(n).table]
+    assert check_associativity(band) == (True, None)
+    for a, b, v in itertools.product(range(n), repeat=3):
+        table = [row[:] for row in band]
+        table[a][b] = v
+        triple = least_violating_triple(table)
+        assert check_associativity(table) == (triple is None, triple)
 
 
 @settings(max_examples=60, deadline=None)
