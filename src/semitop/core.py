@@ -305,10 +305,13 @@ def _require_inverse(s: FinSemigroup, need: str) -> InverseStructure:
     return got
 
 
-def is_clifford(inv: InverseStructure) -> bool:
-    """True iff x*x^-1 == x^-1*x for every x."""
+def clifford_check(inv: InverseStructure) -> tuple[bool, int | None]:
+    """x*x^-1 == x^-1*x for every x; witness is the least failing x."""
     t = inv.base.table
-    return all(t[x][inv.inv[x]] == t[inv.inv[x]][x] for x in range(inv.n))
+    for x, y in enumerate(inv.inv):
+        if t[x][y] != t[y][x]:
+            return False, x
+    return True, None
 
 
 def natural_order(s: FinSemigroup, e: int, f: int) -> bool:

@@ -20,14 +20,14 @@ from .core import (
     _group_unit,
     adjoin_identity,
     adjoin_zero,
-    is_clifford,
+    clifford_check,
     maximal_subgroup,
     natural_order,
     subsemigroup,
 )
 from .errors import DomainError, EvaluationError, KindError, SizeError, TheoremViolationError
 from .semigroups import FinProduct, composition_table, symmetric_inverse_monoid
-from .topo import TopSemigroup, TopSpec, TruncatedPresentation, holds_nbhds, min_nbhds
+from .topo import TopSemigroup, TopSpec, TruncatedPresentation, points_of
 from .transforms import (
     IN,
     NN,
@@ -457,8 +457,10 @@ def clifford_decompose(inv: InverseStructure) -> CliffordDecomposition:
     maximal subgroup over each idempotent, verifying that the components
     partition the carrier and that products factor through the meet: x*y
     equals (x*ef)*(y*ef) for x over e and y over f."""
-    if not is_clifford(inv):
-        raise DomainError("not a Clifford semigroup: some x*x^-1 differs from x^-1*x")
+    ok, x = clifford_check(inv)
+    if not ok:
+        raise DomainError(f"not a Clifford semigroup: x*x^-1 differs from x^-1*x "
+                          f"at x = {inv.base.label(x)}")
     idem = inv.idempotents
     sl, _ = subsemigroup(inv.base, idem)
     comps = tuple(maximal_subgroup(inv, e) for e in idem)
@@ -570,55 +572,39 @@ def separating_opens(rep: RepresentationMap) -> tuple[BasicOpen, ...]:
 @dataclass(frozen=True)
 class EmbeddingReport:
     ok: bool
-    preimage_failures: tuple  # (BasicOpen, preimage mask) pairs that are not open
-    relative_failures: tuple  # source open masks whose image has no open trace
+    witness: tuple | None  # (x, y, (k, v)), set when ok is False: see verify_embedding
 
 
 def verify_embedding(rep: RepresentationMap, source_top=None) -> EmbeddingReport:
-    """Topological audit of an already-verified injective homomorphism.
+    """Topological audit of an already-verified injective homomorphism into
+    NN or IN: it passes iff every minimal neighborhood N_x of the source is
+    {x}.  A None source is discrete, and passes.
 
-    Preimages of the separating basic opens of the target must be open in
-    the source, and the image of every source basic open must be a union of
-    traces of those opens on the image set (relative openness).  Each
-    separating open pins one window point to one value, so its trace is read
-    off the value tuples and every membership is decided.  A None source
-    means the discrete topology, without materializing it, and there every
-    injective representation passes: every preimage is open, and for images
-    u != v that first differ at x, the separating open (x, u[x]) has a trace
-    holding u but not v, so each image point is relatively open.
+    Images u != v first differ at some window point k, and the preimages of
+    the atoms (k, u[k]) and (k, v[k]) each hold one of the two points and not
+    the other.  So open preimages make the source T1, hence discrete (a
+    finite T1 space is; Munkres, Topology, 2nd ed., 2000, section 17); and on
+    a discrete source every preimage is open, and the traces of those atoms
+    make each image point relatively open.
+
+    The witness of a failure is (x, y, (k, v)): the least x with N_x != {x},
+    the least y != x in N_x, and the atom at the first window point k where
+    their values differ, v being x's value there (None for a hole).  Its
+    preimage holds x but not y, so it is not open.
     """
     if isinstance(source_top, TopSemigroup):
         source_top = source_top.top
-    if source_top is None:
-        nbhds = tuple(1 << x for x in range(rep.source.n))
-    elif isinstance(source_top, (TopSpec, TruncatedPresentation)):
-        nbhds = source_top.nbhds
-    else:
+    if not isinstance(source_top, (TopSpec, TruncatedPresentation, type(None))):
         raise KindError(f"unsupported source topology {type(source_top).__name__}")
-    if len(nbhds) != rep.source.n:
+    if source_top is not None and len(source_top.nbhds) != rep.source.n:
         raise KindError("source topology carrier does not match the representation source")
-
-    traces = []
-    bad_pre = []
-    for b in separating_opens(rep):
-        (atom,) = b.atoms  # (x, v) in NN, (U, x, v) or (W, x) with v = None in IN
-        x, v = (atom[1], None) if atom[0] == W_DOM else atom[-2:]
-        mask = 0
-        for i, vals in enumerate(rep.values):
-            if vals[x] == v:
-                mask |= 1 << i
-        traces.append(mask)
-        if not holds_nbhds(nbhds, mask):
-            bad_pre.append((b, mask))
-
-    # every open is a union of minimal neighborhoods and the traces generate
-    # a union-closed family, so auditing the minimal neighborhoods suffices;
-    # a subset lies in that family iff it holds the least trace-generated
-    # neighborhood of each of its points
-    atoms = min_nbhds(rep.source.n, traces)
-    bad_rel = tuple(u for u in sorted(set(nbhds)) if not holds_nbhds(atoms, u))
-    return EmbeddingReport(
-        ok=not bad_pre and not bad_rel,
-        preimage_failures=tuple(bad_pre),
-        relative_failures=bad_rel,
-    )
+    if rep.space == FINITE:
+        raise KindError("abstract finite targets have no basic opens")
+    nbhds = () if source_top is None else source_top.nbhds
+    x = next((x for x, nb in enumerate(nbhds) if nb != 1 << x), None)
+    if x is None:
+        return EmbeddingReport(ok=True, witness=None)
+    y = next(y for y in points_of(nbhds[x]) if y != x)
+    u, v = rep.values[x], rep.values[y]
+    k = next(itertools.compress(itertools.count(), map(ne, u, v)))
+    return EmbeddingReport(ok=False, witness=(x, y, (k, u[k])))

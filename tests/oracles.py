@@ -11,8 +11,17 @@ lazy maps.
 from dataclasses import dataclass
 
 from semitop.errors import EvaluationError
-from semitop.topo import TopSpec
-from semitop.transforms import NN, U_ATOM, LazyMap, PartialPerm, Transformation
+from semitop.topo import TopSemigroup, TopSpec
+from semitop.transforms import (
+    IN,
+    NN,
+    U_ATOM,
+    W_DOM,
+    BasicOpen,
+    LazyMap,
+    PartialPerm,
+    Transformation,
+)
 
 
 def growth_vectors(n):
@@ -87,6 +96,23 @@ def vp_by_replay(table, inv, identity, vec):
         if not (first or second):
             return False
     return True
+
+
+def inverses_by_search(table, x):
+    """Every y with x*y*x == x and y*x*y == y; one in an inverse semigroup."""
+    return [y for y in range(len(table))
+            if table[table[x][y]][x] == x and table[table[y][x]][y] == y]
+
+
+def clifford_failures_by_replay(table):
+    """The elements x of an inverse semigroup at which x*x^-1 != x^-1*x, the
+    inverse found by search."""
+    out = []
+    for x in range(len(table)):
+        (y,) = inverses_by_search(table, x)
+        if table[x][y] != table[y][x]:
+            out.append(x)
+    return out
 
 
 # -- topology helpers ----------------------------------------------------------
@@ -337,6 +363,56 @@ def basic_open_member(h, b):
     if b.space == NN:
         return all(value(x) == y for x, y in b.atoms)
     return all(value(atom[1]) == (atom[2] if atom[0] == U_ATOM else None) for atom in b.atoms)
+
+
+# -- the embedding audit, open by open -----------------------------------------
+
+
+def atom_open(space, x, v):
+    """The basic open of the space that pins window point x to the value v,
+    which in IN may be a hole (None)."""
+    if space == NN:
+        return BasicOpen(NN, ((x, v),))
+    return BasicOpen(IN, ((W_DOM, x),) if v is None else ((U_ATOM, x, v),))
+
+
+def audit_by_dispatch(rep, source_top, opens=None):
+    """The embedding audit with one openness rule per kind of source: None
+    (discrete, everything open), a TopSpec (membership in the open family,
+    minimal neighborhoods from the family scan) or a TopSemigroup.  The
+    target opens default to the separating atoms of every pair of images, and
+    each image is read through `basic_open_member`, not through its value
+    tuple.  Returns (ok, the (open, preimage mask) pairs whose preimage is not
+    open, the minimal neighborhoods of the source whose image is no union of
+    traces)."""
+    if isinstance(source_top, TopSemigroup):
+        source_top = source_top.top
+    n = rep.source.n
+    if source_top is None:
+        def is_open(_mask):
+            return True
+        basis = tuple(1 << x for x in range(n))
+    else:
+        is_open = source_top.opens.__contains__
+        basis = tuple(sorted({min_nbhd_mask(source_top.opens, n, x) for x in range(n)}))
+    if opens is None:
+        atoms = separating_atoms_by_all_pairs(rep.values)
+        opens = sorted((atom_open(rep.space, x, v) for x, v in atoms), key=str)
+    traces, bad_pre = [], []
+    for b in opens:
+        mask = 0
+        for i, img in enumerate(rep.images):
+            if basic_open_member(img, b):
+                mask |= 1 << i
+        traces.append(mask)
+        if not is_open(mask):
+            bad_pre.append((b, mask))
+    atom = [(1 << n) - 1] * n
+    for mask in traces:
+        for x in bits(mask):
+            atom[x] &= mask
+    bad_rel = tuple(u for u in basis if any(atom[x] & ~u for x in bits(u)))
+    return not bad_pre and not bad_rel, tuple(bad_pre), bad_rel
 
 
 # -- shared-image transformation group laws ------------------------------------

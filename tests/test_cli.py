@@ -174,8 +174,16 @@ def test_check_inverse_and_clifford(tmp_path, capsys):
     assert "generalized inverses" in capsys.readouterr().out
     b2 = sem_file(tmp_path, brandt_semigroup(2), "b2.json")
     assert main(["check", "clifford", b2]) == 2
+    # (0,1)*(0,1)^-1 = (0,0), while (0,1)^-1*(0,1) = (1,1)
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  x*x^-1 differs from x^-1*x at x = (0,1)"]
+    assert main(["check", "clifford", b2, "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["witness"]) == (False, 1)
     z2 = sem_file(tmp_path, cyclic_group(2), "z2.json")
-    assert main(["check", "clifford", z2]) == 0
+    assert main(["check", "clifford", z2, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["witness"]) == (True, None)
 
 
 def test_check_vp(tmp_path, capsys):
@@ -399,6 +407,8 @@ def test_embed_clifford_product_and_group_restrict(tmp_path, capsys):
 
     b2 = sem_file(tmp_path, brandt_semigroup(2), "b2.json")
     assert main(["embed", "clifford-product", b2]) == 1
+    assert capsys.readouterr().err == ("error: not a Clifford semigroup: "
+                                       "x*x^-1 differs from x^-1*x at x = (0,1)\n")
 
 
 def test_color_toggle(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oracles import same_class_pairs
+from oracles import clifford_failures_by_replay, inverses_by_search, same_class_pairs
 from semitop import core
 from semitop.core import (
     RIGHT,
@@ -21,6 +21,7 @@ from semitop.core import (
     canonical_classes,
     check_associativity,
     classify_vp_quotient,
+    clifford_check,
     congruence_closure,
     congruence_join,
     congruence_meet,
@@ -28,7 +29,6 @@ from semitop.core import (
     enumerate_congruences,
     idempotents,
     inverse_structure,
-    is_clifford,
     is_semilattice,
     is_vagner_preston,
     maximal_subgroup,
@@ -153,13 +153,22 @@ def test_inverse_structure_i2_is_relational_converse():
         assert flipped == target
 
 
-def test_is_clifford_verdicts():
-    for name, s in commutative_inverse_monoid_catalog():
-        assert is_clifford(inverse_structure(s)), name
-    i2 = inverse_structure(symmetric_inverse_monoid(2)[0])
-    assert not is_clifford(i2)
-    b2 = inverse_structure(brandt_semigroup(2))
-    assert not is_clifford(b2)
+def test_clifford_check_names_the_least_failing_element():
+    """The verdict and witness replayed against the definition, with each
+    inverse found by search: the witness is the least x with x*x^-1 !=
+    x^-1*x, and a pass means there is none."""
+    cases = list(commutative_inverse_monoid_catalog()) + [
+        (name, s) for name, s in embedding_catalog()
+        if all(len(inverses_by_search(s.table, x)) == 1 for x in range(s.n))]
+    cases += [("I3", symmetric_inverse_monoid(3)[0]), ("B3", brandt_semigroup(3))]
+    failing = set()
+    for name, s in cases:
+        bad = clifford_failures_by_replay(s.table)
+        got = clifford_check(inverse_structure(s))
+        assert got == ((False, bad[0]) if bad else (True, None)), name
+        if bad:
+            failing.add(name)
+    assert failing == {"I2", "B2", "I3", "B3"}
 
 
 def test_natural_order_basics():

@@ -4,39 +4,52 @@ A finite space is determined by the smallest open set around each point, so
 `TopSpec` and `TruncatedPresentation` keep that vector (`nbhds`) and every
 topological check reads it.  Each test here restates the older, literal rule
 (open-family scans, the pairwise intersection/union fixpoint and axioms, the
-per-family openness rule, the 2^n subset scan, the four-way embedding audit)
-and requires the same answer.
+per-family openness rule, the 2^n subset scan, the open-by-open embedding
+audit) and requires the same answer.
 """
+
+import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import basic_open_member, indiscrete, min_nbhd_mask
-from semitop.core import inverse_structure
+from oracles import (
+    atom_open,
+    audit_by_dispatch,
+    basic_open_member,
+    indiscrete,
+    min_nbhd_mask,
+    separating_atoms_by_all_pairs,
+)
+from semitop.core import NotInverse, inverse_structure
 from semitop.embed import (
-    EmbeddingReport,
     RepresentationMap,
     adjoin_embed,
     cayley_right_regular,
     embcl_rep,
     product_embed,
-    separating_opens,
     verify_embedding,
     wagner_preston,
 )
 from semitop.errors import DomainError
 from semitop.obstruct import get_instance
-from semitop.semigroups import chain_semilattice, embedding_catalog, symmetric_inverse_monoid
+from semitop.semigroups import (
+    chain_semilattice,
+    cyclic_group,
+    embedding_catalog,
+    symmetric_inverse_monoid,
+)
 from semitop.topo import (
     TopSemigroup,
     TopSpec,
     TruncatedPresentation,
     bundled_top_semigroups,
     is_topology,
-    points_of,
 )
-from semitop.transforms import IN, lazy_extend
+from semitop.transforms import IN, NN, BasicOpen, FiniteTable, Identity, lazy_extend
 
 FIXTURES = bundled_top_semigroups()
 CATALOG = dict(embedding_catalog())
@@ -205,38 +218,6 @@ def test_presentation_opens_match_the_family_rule_on_drawn_presentations(pres):
     assert spec.nbhds == pres.nbhds
 
 
-def audit_by_dispatch(rep, source_top):
-    """The embedding audit with one openness rule per kind of source: None
-    (discrete, everything open), a TopSpec (membership in the open family,
-    minimal neighborhoods from the family scan) or a TopSemigroup.  Each
-    image is read through `basic_open_member`, not through its value tuple."""
-    if isinstance(source_top, TopSemigroup):
-        source_top = source_top.top
-    n = rep.source.n
-    if source_top is None:
-        def is_open(_mask):
-            return True
-        basis = tuple(1 << x for x in range(n))
-    else:
-        is_open = source_top.opens.__contains__
-        basis = tuple(sorted({min_nbhd_mask(source_top.opens, n, x) for x in range(n)}))
-    traces, bad_pre = [], []
-    for b in separating_opens(rep):
-        mask = 0
-        for i, img in enumerate(rep.images):
-            if basic_open_member(img, b):
-                mask |= 1 << i
-        traces.append(mask)
-        if not is_open(mask):
-            bad_pre.append((b, mask))
-    atom = [(1 << n) - 1] * n
-    for mask in traces:
-        for x in points_of(mask):
-            atom[x] &= mask
-    bad_rel = tuple(u for u in basis if any(atom[x] & ~u for x in points_of(u)))
-    return EmbeddingReport(not bad_pre and not bad_rel, tuple(bad_pre), bad_rel)
-
-
 AUDIT_CASES = [(name, cayley_right_regular(s), None) for name, s in embedding_catalog()]
 _WP_I2 = wagner_preston(inverse_structure(symmetric_inverse_monoid(2)[0]))
 AUDIT_CASES += [("wp_I2", _WP_I2, None)]
@@ -260,6 +241,92 @@ for _name, _rep in _LAZY:  # the indiscrete source makes most traces fail to be 
                     (_name + "_indiscrete", _rep, indiscrete(_rep.source.n))]
 
 
+def assert_witness_replays(rep, top, witness):
+    """The audit's witness against the definitions: x is the least point whose
+    minimal neighborhood is not {x}, y the least other point in it, and the
+    atom's preimage holds x but not y, so it is not open."""
+    if isinstance(top, TopSemigroup):
+        top = top.top
+    n = rep.source.n
+    nbhds = [min_nbhd_mask(top.opens, n, p) for p in range(n)]
+    x, y, (k, v) = witness
+    assert all(nbhds[p] == 1 << p for p in range(x)) and nbhds[x] != 1 << x
+    assert y == min(p for p in range(n) if p != x and nbhds[x] >> p & 1)
+    preimage = sum(1 << i for i, img in enumerate(rep.images)
+                   if basic_open_member(img, atom_open(rep.space, k, v)))
+    assert preimage >> x & 1 and not preimage >> y & 1
+    assert preimage not in top.opens
+
+
 @pytest.mark.parametrize("name,rep,source", AUDIT_CASES, ids=[c[0] for c in AUDIT_CASES])
-def test_embedding_audit_matches_the_per_source_dispatch(name, rep, source):
-    assert verify_embedding(rep, source) == audit_by_dispatch(rep, source)
+def test_embedding_audit_matches_the_reference(name, rep, source):
+    report = verify_embedding(rep, source)
+    assert report.ok == audit_by_dispatch(rep, source)[0]
+    if report.ok:
+        assert report.witness is None
+    else:
+        assert_witness_replays(rep, source, report.witness)
+
+
+def test_embedding_audit_matches_the_reference_on_drawn_topologies():
+    """Drawn topologies on every Cayley and Wagner-Preston representation of
+    the embedding catalog, in NN and IN.  A quarter of the subbases hold
+    every singleton (discrete), half hold about half of the singletons, and
+    each adds up to three random sets."""
+    reps = [cayley_right_regular(s) for s in CATALOG.values()]
+    reps += [wagner_preston(inv) for s in CATALOG.values()
+             if not isinstance(inv := inverse_structure(s), NotInverse)]
+    assert len(reps) == 25 and {rep.space for rep in reps} == {NN, IN}
+    rng = random.Random(26)
+    passed = failed = 0
+    for rep in reps:
+        n = rep.source.n
+        for trial in range(64):
+            keep = (1.0, 0.5, 0.0, 0.5)[trial % 4]
+            subbasis = [1 << x for x in range(n) if rng.random() < keep]
+            subbasis += [rng.getrandbits(n) for _ in range(rng.randint(0, 3))]
+            top = TopSpec.generated(n, subbasis)
+            report = verify_embedding(rep, top)
+            assert report.ok == audit_by_dispatch(rep, top)[0], (rep.name, subbasis)
+            if report.ok:
+                passed += 1
+            else:
+                failed += 1
+                assert_witness_replays(rep, top, report.witness)
+    assert passed + failed == 1600 and passed >= 400 and failed >= 800
+
+
+def test_reference_audit_flags_a_missing_trace_the_separating_opens_rule_out():
+    """The state the relative-openness pass looked for: a family of target
+    opens too thin to tell two images apart leaves a source neighborhood
+    without a trace.  The separating atoms split every pair of images, which
+    is the premise that makes it unreachable."""
+    rep = cayley_right_regular(cyclic_group(2))
+    thin = (BasicOpen(NN, ((0, 0),)),)
+    ok, bad_pre, bad_rel = audit_by_dispatch(rep, None, thin)
+    assert not ok and bad_pre == () and 0b10 in bad_rel
+    assert audit_by_dispatch(rep, None) == (True, (), ())
+    assert verify_embedding(rep).ok
+
+
+def test_reference_audit_passes_every_family_of_distinct_value_tuples():
+    """Injectivity alone passes the reference audit against the discrete
+    source: every preimage is open, and tuples u != v that first differ at x
+    are told apart by the separating open (x, u[x]), whose trace holds u but
+    not v.  The images are read as lazy tables of the drawn tuples."""
+    rng = random.Random(23)
+    for trial in range(2400):
+        space = (NN, IN)[trial % 2]
+        window = rng.randint(1, 4)
+        points = [*range(window)] + ([None] if space == IN else [])
+        tuples = list(itertools.product(points, repeat=window))
+        values = tuple(rng.sample(tuples, rng.randint(1, min(8, len(tuples)))))
+        stand_in = SimpleNamespace(
+            space=space, values=values, source=SimpleNamespace(n=len(values)),
+            images=tuple(FiniteTable(tuple(enumerate(vals)), Identity()) for vals in values))
+        pairs = itertools.combinations(range(len(values)), 2)
+        traces = [sum(1 << i for i, img in enumerate(stand_in.images)
+                      if basic_open_member(img, atom_open(space, x, v)))
+                  for x, v in separating_atoms_by_all_pairs(values)]
+        assert all(any((t >> i & 1) != (t >> j & 1) for t in traces) for i, j in pairs)
+        assert audit_by_dispatch(stand_in, None) == (True, (), ()), (space, values)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import separating_atoms_by_all_pairs
+from oracles import atom_open, separating_atoms_by_all_pairs
 from semitop.core import InverseStructure, inverse_structure
 from semitop.embed import (
     adjoin_embed,
@@ -33,7 +33,7 @@ from semitop.semigroups import (
     full_transformation_monoid,
     symmetric_inverse_monoid,
 )
-from semitop.transforms import IN, NN, U_ATOM, W_DOM, BasicOpen
+from semitop.transforms import IN, NN, W_DOM
 
 CATALOG = dict(embedding_catalog())
 CATALOG["I4"] = symmetric_inverse_monoid(4)[0]
@@ -43,12 +43,7 @@ INVERSE = {name: inv for name, s in CATALOG.items()
 
 def opens_from_atoms(space, atoms):
     """The basic opens of the atoms, in the order `separating_opens` returns."""
-    def atom_open(x, v):
-        if space == NN:
-            return BasicOpen(NN, ((x, v),))
-        return BasicOpen(IN, ((W_DOM, x),) if v is None else ((U_ATOM, x, v),))
-
-    opens = (atom_open(x, v) for x, v in atoms)
+    opens = (atom_open(space, x, v) for x, v in atoms)
     return tuple(sorted(opens, key=lambda b: (len(b.atoms), str(b.atoms))))
 
 
