@@ -231,20 +231,15 @@ def cmd_check(args) -> int:
     else:
         pres, sem, top, cong = _bundle_parts(doc)
 
-        if kind == "inverse":
+        if kind in ("inverse", "clifford"):
             got = inverse_structure(sem)
             ok = not isinstance(got, NotInverse)
-            if ok:
-                report["inverse"] = list(got.inv)
-            else:
+            if not ok:
                 report["witness"] = got.witness
                 lines.append(f"element {sem.label(got.witness)} has "
                              f"{got.inverse_count} generalized inverses")
-        elif kind == "clifford":
-            got = inverse_structure(sem)
-            if isinstance(got, NotInverse):
-                ok = False
-                lines.append("not an inverse semigroup")
+            elif kind == "inverse":
+                report["inverse"] = list(got.inv)
             else:
                 ok, x = clifford_check(got)
                 report["witness"] = x
@@ -302,13 +297,13 @@ def cmd_check(args) -> int:
                 lines.append(f"no all-open-class right congruence keeps "
                              f"{sem.label(x)} inside {_labels(sem, nbhd)}: "
                              f"{sem.label(z)} is forced in")
-                if rep.candidates:
-                    for classes, reason in rep.candidates[:16]:
-                        lines.append(f"  candidate {list(classes)}: {reason}")
-                    if len(rep.candidates) > 16:
-                        lines.append(f"  ... {len(rep.candidates) - 16} more candidates")
-                    report["candidates"] = [
-                        {"classes": list(c), "reason": r} for c, r in rep.candidates]
+                report["derivation"] = [[list(ab), m, list(d)] for ab, m, d in rep.derivation]
+                if not rep.derivation:
+                    lines.append(f"  the neighborhoods alone put {sem.label(z)} "
+                                 f"in the class of {sem.label(x)}")
+                for (a, b), m, (da, db) in rep.derivation:
+                    lines.append(f"  ({sem.label(a)}, {sem.label(b)}) * {sem.label(m)} "
+                                 f"= ({sem.label(da)}, {sem.label(db)})")
 
     report["verdict"] = ok
     verdict = _paint("PASS", GREEN) if ok else _paint("FAIL", RED)

@@ -562,6 +562,57 @@ def _close(s: FinSemigroup, seeds, kind):
     return canonical_classes(label), tuple(chain)
 
 
+def _derivation(n, seeds, chain, x, z):
+    """The steps of a _close chain that join x and z, in chain order.
+
+    Replaying the seeds and then the chain with a union-find keeps one
+    forest edge per merge, labelled by its chain step (None for a seed).  A
+    forest has one path between two points, so the kept steps are those on
+    the path from x to z and, recursively, on the path joining each kept
+    step's pair (a, b).  That pair was joined before its step, by a seed or
+    by an earlier step, so its path uses only earlier labels and the
+    recursion ends.  Replayed in chain order after the seeds, every kept
+    step's pair is already joined and the last one joins x and z: the steps
+    hold in every congruence containing the seeds (McConnell, Mehlhorn,
+    Naher and Schweitzer, "Certifying algorithms", Computer Science Review
+    5, 2011).  Returns () when the seeds alone join x and z.
+    """
+    links = [(a, b, None) for a, b in seeds]
+    links += [(da, db, j) for j, (_, _, (da, db)) in enumerate(chain)]
+    uf = _UnionFind(n)
+    adjacent = [[] for _ in range(n)]
+    for a, b, j in links:
+        if uf.union(a, b):
+            adjacent[a].append((b, j))
+            adjacent[b].append((a, j))
+    if uf.label[x] != uf.label[z]:
+        raise DomainError(f"the chain does not join {x} and {z}")
+    # root each tree, so a path climbs from its deeper end to the meeting point
+    parent, depth = [None] * n, [0] * n
+    for root in range(n):
+        if parent[root] is None:
+            parent[root] = (root, None)
+            todo = [root]
+            while todo:
+                u = todo.pop()
+                for v, j in adjacent[u]:
+                    if parent[v] is None:
+                        parent[v], depth[v] = (u, j), depth[u] + 1
+                        todo.append(v)
+    kept = set()
+    todo = [(x, z)]
+    while todo:
+        a, b = todo.pop()
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, j = parent[a]
+            if j is not None and j not in kept:
+                kept.add(j)
+                todo.append(chain[j][0])
+    return tuple(chain[j] for j in sorted(kept))
+
+
 def congruence_closure(s: FinSemigroup, seeds, kind=RIGHT) -> Congruence:
     """Smallest congruence of the given kind containing the seed pairs."""
     return Congruence(s, kind, _close(s, seeds, kind)[0])

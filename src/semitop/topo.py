@@ -15,10 +15,10 @@ from .core import (
     Congruence,
     FinSemigroup,
     InverseStructure,
+    _close,
+    _derivation,
     _index,
     _require_inverse,
-    congruence_closure,
-    enumerate_congruences,
     is_semilattice,
     parse_semigroup,
     semigroup_doc,
@@ -487,9 +487,9 @@ class BasisReport:
     ok: bool
     mu: Congruence
     failures: tuple  # (x, witness element in [x] outside N_x, N_x mask)
-    # per-congruence reasons on carriers of at most 10 points with at most 512
-    # right congruences (the lattice is built by joins of principal congruences)
-    candidates: tuple | None
+    # on failure, the _close steps ((a, b), m, (a*m, b*m)) that join the
+    # first failure's x and witness, starting from the open-class seeds
+    derivation: tuple | None
 
 
 def _carrier_and_nbhds(obj):
@@ -509,8 +509,11 @@ def congruence_basis_check(obj) -> BasisReport:
     congruence contains all pairs (y, z) with z in N_y.  Those congruences
     are closed under intersection, so the closure mu of the seed pairs is
     the least of them, and the basis property holds iff [x]_mu stays inside
-    N_x for every x.  On failure, small carriers also get a per-candidate
-    report over all enumerated right congruences.
+    N_x for every x.  On failure the report keeps the derivation of the
+    first failure (x, z): the steps (a, b) -> (a*m, b*m) that join x and z
+    from the seeds.  Each step holds in every right congruence containing
+    (a, b), so the derivation shows at once that every all-open-class right
+    congruence puts z in the class of x.
     """
     s, nb = _carrier_and_nbhds(obj)
     seeds = []
@@ -518,35 +521,16 @@ def congruence_basis_check(obj) -> BasisReport:
         for z in points_of(nb[y]):
             if z != y:
                 seeds.append((y, z))
-    mu = congruence_closure(s, seeds, RIGHT)
+    classes, chain = _close(s, seeds, RIGHT)
+    mu = Congruence(s, RIGHT, classes)
     masks = [mask_of(block) for block in mu.blocks()]
     failures = []
     for x in range(s.n):
         escaped = masks[mu.classes[x]] & ~nb[x]
         if escaped:
             failures.append((x, points_of(escaped)[0], nb[x]))
-    candidates = None
-    if failures:
-        x0, _, nbx0 = failures[0]
-        rows = []
-        try:
-            lattice = enumerate_congruences(s, RIGHT)
-        except SizeError:
-            lattice = []
-        for rho in lattice:
-            masks = [mask_of(block) for block in rho.blocks()]
-            reason = None
-            for y in range(s.n):
-                if nb[y] & ~masks[rho.classes[y]]:
-                    reason = f"class of {s.label(y)} is not open"
-                    break
-            if reason is None:  # rho contains mu, so [x0] escapes N_x0 as [x0]_mu does
-                z = points_of(masks[rho.classes[x0]] & ~nbx0)[0]
-                reason = (f"all classes open but {s.label(z)} is forced into "
-                          f"the class of {s.label(x0)}")
-            rows.append((rho.classes, reason))
-        candidates = tuple(rows) if rows else None
-    return BasisReport(not failures, mu, tuple(failures), candidates)
+    derivation = _derivation(s.n, seeds, chain, *failures[0][:2]) if failures else None
+    return BasisReport(not failures, mu, tuple(failures), derivation)
 
 
 def presentation_doc(pres: TruncatedPresentation) -> dict:

@@ -315,6 +315,33 @@ def basis_by_candidate_filter(table, opens):
     return False
 
 
+def open_class_seeds(nb):
+    """The pairs (y, w), w in N_y, that every right congruence with all
+    classes open holds."""
+    return [(y, w) for y in range(len(nb)) for w in bits(nb[y])]
+
+
+def derivation_replays(table, seeds, steps, x, z):
+    """A derivation of (x, z) from the seed pairs holds.  A union-find of its
+    own starts from the seeds; each step ((a, b), m, (da, db)) needs a and b
+    already joined and da == a*m, db == b*m, and then joins da and db; the
+    last step leaves x and z in one class."""
+    parent = list(range(len(table)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in seeds:
+        parent[find(a)] = find(b)
+    for (a, b), m, (da, db) in steps:
+        if find(a) != find(b) or table[a][m] != da or table[b][m] != db:
+            return False
+        parent[find(da)] = find(db)
+    return find(x) == find(z)
+
+
 # -- separating atoms of an embedding ------------------------------------------
 
 

@@ -243,8 +243,8 @@ def test_criterion_10_reproduction_is_byte_deterministic(capsys, tmp_path):
 
 
 # sha256 over the reproduction tree: each file, sorted by relative path, fed
-# as path + NUL + bytes + NUL (73 files, 763,427 bytes)
-ARTIFACT_DIGEST = "3e1aff9c8a743e19019688ffd9fa4261da867d70eaa83b385d72bdf389d3c69b"
+# as path + NUL + bytes + NUL (73 files, 762,747 bytes)
+ARTIFACT_DIGEST = "a3befac29719da783549244c547df3084a8fc3945dcbb15799590f711abdfb4b"
 
 
 def test_reproduction_matches_the_pinned_digest(tmp_path):

@@ -180,6 +180,15 @@ def test_check_inverse_and_clifford(tmp_path, capsys):
     assert main(["check", "clifford", b2, "--json"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert (doc["verdict"], doc["witness"]) == (False, 1)
+    # a semigroup that is not inverse is named as `check inverse` names it
+    assert main(["check", "inverse", l2]) == 2
+    inverse_text = capsys.readouterr().out.splitlines()[1:]
+    assert main(["check", "clifford", l2]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == inverse_text == [
+        "  element l0 has 2 generalized inverses"]
+    assert main(["check", "clifford", l2, "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["witness"]) == (False, 0)
     z2 = sem_file(tmp_path, cyclic_group(2), "z2.json")
     assert main(["check", "clifford", z2, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -235,7 +244,9 @@ def test_check_cong_basis(tmp_path, capsys):
     f = bundle_file(tmp_path, up.sem, up.top)
     assert main(["check", "cong-basis", f]) == 2
     text = capsys.readouterr().out
-    assert "candidate" in text and "forced in" in text
+    assert text.splitlines()[1:] == [
+        "  no all-open-class right congruence keeps c1 inside {c1}: c0 is forced in",
+        "    the neighborhoods alone put c0 in the class of c1"]
     disc = fixtures["chain3_discrete"]
     g = bundle_file(tmp_path, disc.sem, disc.top, "disc.json")
     assert main(["check", "cong-basis", g]) == 0
@@ -250,14 +261,25 @@ def test_check_cong_basis_on_presentation(tmp_path, capsys):
     assert main(["check", "cong-basis", f, "--json"]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["check"] == "cong-basis" and rep["verdict"] is False
+    assert rep["derivation"] == []
+
+
+def test_check_cong_basis_prints_one_line_per_step(tmp_path, capsys):
+    f = write(tmp_path, "pres.json", presentation_doc(get_instance("brandt", 4).presentation))
+    assert main(["check", "cong-basis", f, "--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["failure"]["point"] == 4 and rep["failure"]["witness"] == 5
+    assert rep["derivation"] == [[[16, 5], 4, [16, 4]]]
+    assert main(["check", "cong-basis", f]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2].startswith("    (") and " * " in lines[2]
 
 
 # sha256 of the `check cong-basis --json --out` bytes on the odd_chain
-# presentations whose reports list 256 and 512 candidates; w=9 sits exactly at
-# the enumeration limit
+# presentations of windows 8 and 9, each explained by a one-step derivation
 CONG_BASIS_DIGESTS = {
-    8: "cac625c919d19d8c7943b066a3ad25e8f101101bfe2f82e7b0192a476f5e1610",
-    9: "2b18e94757a4460c0851acb79833961b54ae8b344c292f79f86f1313b9fa6d3a",
+    8: "024ba6c7509ae51bb274ef9788cbb8bb78e45e13542e02f793c788547b6cd767",
+    9: "ab78aff5749f5aea22bb948e4bcdc411164144ea470f2ea136495e8b9e85341e",
 }
 
 

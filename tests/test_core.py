@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from oracles import clifford_failures_by_replay, inverses_by_search, same_class_pairs
+from oracles import (
+    clifford_failures_by_replay,
+    derivation_replays,
+    inverses_by_search,
+    same_class_pairs,
+)
 from semitop import core
 from semitop.core import (
     RIGHT,
@@ -14,6 +19,7 @@ from semitop.core import (
     FinSemigroup,
     NotInverse,
     _close,
+    _derivation,
     _group_unit,
     _zero,
     adjoin_identity,
@@ -241,6 +247,37 @@ def test_closure_records_replayable_chain():
             parent[max(ra, rb)] = min(ra, rb)
     replayed = canonical_classes([find(x) for x in range(s.n)])
     assert replayed == classes
+
+
+def test_derivation_is_a_replayable_part_of_the_chain():
+    s = signed_antichain_with_zero(4)
+    seeds = [(8, 0), (8, 2)]
+    classes, chain = _close(s, seeds, RIGHT)
+    joined = [(x, z) for x in range(s.n) for z in range(s.n) if classes[x] == classes[z]]
+    assert len(joined) > s.n
+    for x, z in joined:
+        steps = _derivation(s.n, seeds, chain, x, z)
+        assert list(steps) == [step for step in chain if step in steps]
+        assert derivation_replays(s.table, seeds, steps, x, z), (x, z)
+    x, z = next((x, z) for x in range(s.n) for z in range(s.n) if classes[x] != classes[z])
+    with pytest.raises(DomainError):
+        _derivation(s.n, seeds, chain, x, z)
+
+
+def test_derivation_keeps_the_steps_that_join_a_kept_steps_pair():
+    # a chain that reaches (2, 3) in Z4 only through the derived pair (1, 2):
+    # the step from (1, 2) needs the step that joined 1 and 2
+    s = cyclic_group(4)
+    seeds = [(0, 1)]
+    first = ((0, 1), 1, (s.mul(0, 1), s.mul(1, 1)))
+    second = (first[2], 1, (s.mul(first[2][0], 1), s.mul(first[2][1], 1)))
+    assert second[2] == (2, 3)
+    steps = _derivation(s.n, seeds, (first, second), 2, 3)
+    assert steps == (first, second)
+    assert derivation_replays(s.table, seeds, steps, 2, 3)
+    assert not derivation_replays(s.table, seeds, steps[1:], 2, 3)
+    # a step whose products are wrong is refused too
+    assert not derivation_replays(s.table, seeds, ((first[0], 2, first[2]), second), 2, 3)
 
 
 def test_meet_and_join_identities():

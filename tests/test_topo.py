@@ -12,16 +12,24 @@ from oracles import (
     basis_by_candidate_filter,
     bits,
     clopen_ideals_by_filter,
+    derivation_replays,
     ditop_by_replay,
     first_discontinuity_by_four_loops,
     indiscrete,
     inversion_continuous_by_replay,
     min_nbhd_mask,
+    open_class_seeds,
     scattered_height_by_replay,
     u2_at_point_by_replay,
     u_at_point_by_replay,
 )
-from semitop.core import NotInverse, inverse_structure
+from semitop.core import (
+    ENUMERATION_BOUND,
+    RIGHT,
+    NotInverse,
+    enumerate_congruences,
+    inverse_structure,
+)
 from semitop.errors import DomainError, KindError, LoadError, SizeError
 from semitop.semigroups import chain_semilattice, cyclic_group
 from semitop.topo import (
@@ -213,19 +221,21 @@ def test_inversion_discontinuity_detected():
 
 
 def assert_open_candidates_escape(rep, s, nb):
-    """Every right congruence with all classes open contains mu, so its class
-    of the first failing point x0 escapes N_x0 as [x0]_mu does; the report
-    names the least escaping element."""
-    x0, _, nbx0 = rep.failures[0]
-    assert rep.candidates
-    for classes, reason in rep.candidates:
-        if all(classes[z] == classes[y] for y in range(s.n) for z in bits(nb[y])):
-            escaping = [z for z in range(s.n) if classes[z] == classes[x0] and not nbx0 >> z & 1]
-            assert escaping, classes
-            assert reason == (f"all classes open but {s.label(escaping[0])} is forced "
-                              f"into the class of {s.label(x0)}")
-        else:
-            assert reason.endswith("is not open")
+    """Every right congruence with all classes open contains mu, so it puts
+    the first failure's witness z in the class of x, as the derivation says.
+    The candidates are enumerated here, not read from the report."""
+    x, z, _ = rep.failures[0]
+    candidates = [rho.classes for rho in enumerate_congruences(s, RIGHT)]
+    open_ones = [c for c in candidates
+                 if all(c[w] == c[y] for y in range(s.n) for w in bits(nb[y]))]
+    assert open_ones
+    for classes in open_ones:
+        assert classes[x] == classes[z], classes
+
+
+def assert_derivation_replays(rep, table, nb):
+    x, z, _ = rep.failures[0]
+    assert derivation_replays(table, open_class_seeds(nb), rep.derivation, x, z)
 
 
 def test_basis_check_verdicts_on_bundled():
@@ -236,19 +246,21 @@ def test_basis_check_verdicts_on_bundled():
         assert rep.ok == basis_by_candidate_filter(ts.sem.table, ts.top.opens)
         for x, z, nbx in rep.failures:
             assert rep.mu.classes[x] == rep.mu.classes[z] and not (nbx >> z) & 1
-        if not rep.ok:
-            nb = [min_nbhd_mask(ts.top.opens, ts.sem.n, x) for x in range(ts.sem.n)]
+        nb = [min_nbhd_mask(ts.top.opens, ts.sem.n, x) for x in range(ts.sem.n)]
+        if rep.ok:
+            assert rep.derivation is None
+        else:
             assert_open_candidates_escape(rep, ts.sem, nb)
+            assert_derivation_replays(rep, ts.sem.table, nb)
 
 
-def test_basis_check_candidate_report_shape():
+def test_basis_check_derivation_report_shape():
     rep = congruence_basis_check(fixture("chain2_upper"))
     assert not rep.ok
     assert rep.mu.classes == (0, 0)
     assert rep.failures == ((1, 0, 0b10),)
-    reasons = dict(rep.candidates)
-    assert "not open" in reasons[(0, 1)]
-    assert "forced into" in reasons[(0, 0)]
+    # the seed (c0, c1) of N_c0 = {c0, c1} joins them with no step
+    assert rep.derivation == ()
 
 
 def test_basis_check_on_catalog_presentations():
@@ -256,10 +268,43 @@ def test_basis_check_on_catalog_presentations():
         inst = get_instance(iid, 4)
         rep = congruence_basis_check(inst.presentation)
         assert not rep.ok
-        if rep.candidates is not None:
+        if inst.presentation.base.n <= ENUMERATION_BOUND:
             assert_open_candidates_escape(rep, inst.presentation.base, inst.presentation.nbhds)
         ctrl = get_instance(iid + "-discrete", 4)
         assert congruence_basis_check(ctrl.presentation).ok
+
+
+@pytest.mark.parametrize("iid", ["exB", "odd_chain", "right_simple_zero:Z2",
+                                 "right_simple_zero:R2", "right_simple_zero:S3",
+                                 "brandt", "luke"])
+def test_basis_derivations_replay_on_the_catalog(iid):
+    for window in range(4, 13):
+        pres = get_instance(iid, window).presentation
+        rep = congruence_basis_check(pres)
+        assert not rep.ok
+        assert_derivation_replays(rep, pres.base.table, pres.nbhds)
+        ctrl = congruence_basis_check(get_instance(iid + "-discrete", window).presentation)
+        assert ctrl.ok and ctrl.derivation is None
+
+
+@pytest.mark.parametrize("iid", ["brandt", "luke"])
+def test_basis_derivation_replays_at_window_24(iid):
+    pres = get_instance(iid, 24).presentation
+    rep = congruence_basis_check(pres)
+    assert not rep.ok and pres.base.n == 577
+    assert len(rep.derivation) == 2
+    assert_derivation_replays(rep, pres.base.table, pres.nbhds)
+
+
+def test_every_kept_step_of_a_brandt_derivation_is_needed():
+    pres = get_instance("brandt", 9).presentation
+    rep = congruence_basis_check(pres)
+    seeds, steps = open_class_seeds(pres.nbhds), rep.derivation
+    x, z, _ = rep.failures[0]
+    assert len(steps) == 2
+    assert derivation_replays(pres.base.table, seeds, steps, x, z)
+    for i in range(len(steps)):
+        assert not derivation_replays(pres.base.table, seeds, steps[:i] + steps[i + 1:], x, z), i
 
 
 def test_presentation_validation():
