@@ -272,11 +272,20 @@ class NotInverse:
 
 @dataclass(frozen=True)
 class InverseStructure:
-    """An inverse semigroup: the base table plus the unique inverse map."""
+    """An inverse semigroup: the base table, the unique inverse map, and the
+    idempotents dom[x] = x*x^-1 and ran[x] = x^-1*x of each x.  Maps compose
+    left to right, so in I_N x*x^-1 is the identity on the domain of x."""
 
     base: FinSemigroup
     inv: tuple[int, ...]
     idempotents: tuple[int, ...]
+    dom: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ran: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = self.base.table
+        object.__setattr__(self, "dom", tuple(t[x][y] for x, y in enumerate(self.inv)))
+        object.__setattr__(self, "ran", tuple(t[y][x] for x, y in enumerate(self.inv)))
 
     @property
     def n(self):
@@ -307,11 +316,8 @@ def _require_inverse(s: FinSemigroup, need: str) -> InverseStructure:
 
 def clifford_check(inv: InverseStructure) -> tuple[bool, int | None]:
     """x*x^-1 == x^-1*x for every x; witness is the least failing x."""
-    t = inv.base.table
-    for x, y in enumerate(inv.inv):
-        if t[x][y] != t[y][x]:
-            return False, x
-    return True, None
+    x = next(compress(range(inv.n), map(ne, inv.dom, inv.ran)), None)
+    return x is None, x
 
 
 def natural_order(s: FinSemigroup, e: int, f: int) -> bool:
@@ -346,7 +352,7 @@ def maximal_subgroup(inv: InverseStructure, e: int) -> tuple[int, ...]:
     t = inv.base.table
     if t[e][e] != e:
         raise DomainError(f"{e} is not idempotent")
-    h = tuple(x for x in range(inv.n) if t[x][inv.inv[x]] == e and t[inv.inv[x]][x] == e)
+    h = tuple(x for x in range(inv.n) if inv.dom[x] == e == inv.ran[x])
     if _group_unit(t, h) != e:
         raise TheoremViolationError(f"H_{e} is not a group with identity {e}")
     return h
@@ -722,7 +728,7 @@ def is_vagner_preston(inv: InverseStructure, rho: Congruence) -> bool:
     c = rho.classes
     one = c[m.identity]
     for block in rho.blocks():
-        if all(c[t[y][inv.inv[y]]] == one for y in block):
+        if all(c[inv.dom[y]] == one for y in block):
             continue
         if all(c[t[x][y]] == c[x] for x in block for y in range(m.n)):
             continue

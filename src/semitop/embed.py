@@ -215,18 +215,18 @@ def cayley_right_regular(s: FinSemigroup) -> RepresentationMap:
 
 def wagner_preston(inv: InverseStructure) -> RepresentationMap:
     """The classical faithful action of an inverse semigroup by partial
-    bijections: a acts on {x : x*(a*a^-1) = x} by right multiplication.
+    bijections: a acts by right multiplication on {x : x*(a*a^-1) = x}, the
+    domain of inv.dom[a] = a*a^-1 (maps compose left to right).
 
     The domain of each idempotent e is read once, from column e, as a
     reader of the points x with x*e == x that gives a hole (position -1)
     elsewhere; the image of a is column a, hole-padded, through the reader
-    of a*a^-1."""
+    keyed by inv.dom[a]."""
     n = inv.n
-    t, cols = inv.base.table, inv.base.columns
+    cols = inv.base.columns
     restrict = {}
     images = []
-    for a in range(n):
-        e = t[a][inv.inv[a]]
+    for a, e in enumerate(inv.dom):
         if e not in restrict:
             restrict[e] = _gather([x if xe == x else -1 for x, xe in enumerate(cols[e])])
         images.append(PartialPerm(n, restrict[e](cols[a] + (None,))))
@@ -454,9 +454,11 @@ class CliffordDecomposition:
 
 def clifford_decompose(inv: InverseStructure) -> CliffordDecomposition:
     """Split a Clifford semigroup into its idempotent semilattice and the
-    maximal subgroup over each idempotent, verifying that the components
-    partition the carrier and that products factor through the meet: x*y
-    equals (x*ef)*(y*ef) for x over e and y over f."""
+    maximal subgroup over each idempotent, verifying that products factor
+    through the meet: x*y equals (x*ef)*(y*ef) for x over e and y over f.
+    Once clifford_check passes, the subgroup over e is the fibre over e of
+    x -> x*x^-1, a map onto the idempotents, so the components partition
+    the carrier by construction."""
     ok, x = clifford_check(inv)
     if not ok:
         raise DomainError(f"not a Clifford semigroup: x*x^-1 differs from x^-1*x "
@@ -464,19 +466,9 @@ def clifford_decompose(inv: InverseStructure) -> CliffordDecomposition:
     idem = inv.idempotents
     sl, _ = subsemigroup(inv.base, idem)
     comps = tuple(maximal_subgroup(inv, e) for e in idem)
-    seen = {}
-    for k, comp in enumerate(comps):
-        for x in comp:
-            if x in seen:
-                raise TheoremViolationError(f"element {x} lies over two idempotents")
-            seen[x] = k
-    if len(seen) != inv.n:
-        raise TheoremViolationError("maximal subgroups do not cover the carrier")
     t = inv.base.table
-    for x in range(inv.n):
-        e = t[x][inv.inv[x]]
-        for y in range(inv.n):
-            f = t[y][inv.inv[y]]
+    for x, e in enumerate(inv.dom):
+        for y, f in enumerate(inv.dom):
             ef = t[e][f]
             if t[x][y] != t[t[x][ef]][t[y][ef]]:
                 raise TheoremViolationError(f"strong product law fails at ({x}, {y})")
@@ -503,8 +495,7 @@ def clifford_product_embed(inv: InverseStructure) -> RepresentationMap:
     prod = FinProduct(tuple(factors))
     sl_pos = {e: i for i, e in enumerate(dec.idem)}
     images = []
-    for s in range(inv.n):
-        ss1 = t[s][inv.inv[s]]
+    for s, ss1 in enumerate(inv.dom):
         parts = [sl_pos[ss1]]
         for k, e in enumerate(dec.idem):
             if natural_order(inv.base, e, ss1):

@@ -278,29 +278,21 @@ class DitopReport:
 
 
 def _ditop_core(ts: TopSemigroup, weak: bool) -> DitopReport:
-    s = ts.sem
-    inv = _require_inverse(s, "the weak ditopological check" if weak else "the ditopological check")
+    t = ts.sem.table
+    inv = _require_inverse(ts.sem, "the weak ditopological check" if weak else "the ditopological check")
     inv_ok, inv_wit = inversion_continuity_check(ts, inv)
     nb = ts.top.nbhds
     emask = mask_of(inv.idempotents)
     # The displayed set grows with U and W (and with V), while the target O
     # shrinks to the minimal neighborhood of x; so minimal neighborhoods
     # decide the whole quantifier prefix.
-    for x in range(s.n):
-        u, o = nb[x], nb[x]
-        w = nb[s.mul(x, inv.inv[x])]
-        v = nb[s.mul(inv.inv[x], x)] if weak else None
-        for cand in range(s.n):
-            if not (w >> s.mul(cand, inv.inv[cand])) & 1:
+    for x in range(inv.n):
+        u = o = nb[x]
+        w, v = nb[inv.dom[x]], nb[inv.ran[x]]
+        for cand in range(inv.n):
+            if not (w >> inv.dom[cand]) & 1 or weak and not (v >> inv.ran[cand]) & 1:
                 continue
-            if weak and not (v >> s.mul(inv.inv[cand], cand)) & 1:
-                continue
-            produced = False
-            for e in points_of(w & emask):
-                if (u >> s.mul(e, cand)) & 1:
-                    produced = True
-                    break
-            if produced and not (o >> cand) & 1:
+            if not (o >> cand) & 1 and any((u >> t[e][cand]) & 1 for e in points_of(w & emask)):
                 return DitopReport(False, inv_ok, inv_wit, (x, cand))
     return DitopReport(inv_ok, inv_ok, inv_wit, None)
 
@@ -321,23 +313,10 @@ def weakly_ditopological_check(ts: TopSemigroup) -> DitopReport:
 
 def enumerate_clopen_ideals(ts: TopSemigroup) -> tuple[int, ...]:
     """All clopen subsets closed under multiplication by the whole carrier,
-    ascending by bitmask."""
-    s = ts.sem
-    out = []
-    for mask in ts.top.opens_sorted():
-        if not ts.top.is_clopen(mask):
-            continue
-        ideal = True
-        for x in points_of(mask):
-            for z in range(s.n):
-                if not (mask >> s.mul(x, z)) & 1:
-                    ideal = False
-                    break
-            if not ideal:
-                break
-        if ideal:
-            out.append(mask)
-    return tuple(out)
+    ascending by bitmask: m qualifies when it holds x*S for each x in m."""
+    below = [mask_of(row) for row in ts.sem.table]
+    return tuple(m for m in ts.top.opens_sorted() if ts.top.is_clopen(m)
+                 and not any(below[x] & ~m for x in points_of(m)))
 
 
 def u_check(ts: TopSemigroup, x) -> tuple[bool, tuple | None]:

@@ -17,6 +17,7 @@ from semitop.core import (
     TWO_SIDED,
     Congruence,
     FinSemigroup,
+    InverseStructure,
     NotInverse,
     _close,
     _derivation,
@@ -159,22 +160,43 @@ def test_inverse_structure_i2_is_relational_converse():
         assert flipped == target
 
 
+def _inverse_cases():
+    """The inverse members of both catalogs, then I3 and B3."""
+    cases = list(commutative_inverse_monoid_catalog()) + [
+        (name, s) for name, s in embedding_catalog()
+        if all(len(inverses_by_search(s.table, x)) == 1 for x in range(s.n))]
+    return cases + [("I3", symmetric_inverse_monoid(3)[0]), ("B3", brandt_semigroup(3))]
+
+
 def test_clifford_check_names_the_least_failing_element():
     """The verdict and witness replayed against the definition, with each
     inverse found by search: the witness is the least x with x*x^-1 !=
     x^-1*x, and a pass means there is none."""
-    cases = list(commutative_inverse_monoid_catalog()) + [
-        (name, s) for name, s in embedding_catalog()
-        if all(len(inverses_by_search(s.table, x)) == 1 for x in range(s.n))]
-    cases += [("I3", symmetric_inverse_monoid(3)[0]), ("B3", brandt_semigroup(3))]
     failing = set()
-    for name, s in cases:
+    for name, s in _inverse_cases():
         bad = clifford_failures_by_replay(s.table)
         got = clifford_check(inverse_structure(s))
         assert got == ((False, bad[0]) if bad else (True, None)), name
         if bad:
             failing.add(name)
     assert failing == {"I2", "B2", "I3", "B3"}
+
+
+def test_dom_and_ran_are_x_times_its_inverse_and_the_converse():
+    """inv.dom[x] == x*y and inv.ran[x] == y*x for the one y that search
+    finds with x*y*x == x and y*x*y == y, and both are idempotents."""
+    cases = _inverse_cases() + [
+        (f"signed_antichain{w}", signed_antichain_with_zero(w)) for w in range(11)]
+    for name, s in cases:
+        inv, t = inverse_structure(s), s.table
+        for x in range(s.n):
+            (y,) = inverses_by_search(t, x)
+            assert (inv.dom[x], inv.ran[x]) == (t[x][y], t[y][x]), (name, x)
+            assert t[inv.dom[x]][inv.dom[x]] == inv.dom[x], (name, x)
+            assert t[inv.ran[x]][inv.ran[x]] == inv.ran[x], (name, x)
+    b2 = inverse_structure(brandt_semigroup(2))
+    with pytest.raises(TypeError):  # derived from base and inv, never passed
+        InverseStructure(base=b2.base, inv=b2.inv, idempotents=b2.idempotents, dom=b2.dom)
 
 
 def test_natural_order_basics():

@@ -8,7 +8,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import domain, identity_pp, invert, law_replay, pp_from_pairs
+from oracles import (
+    clifford_failures_by_replay,
+    domain,
+    identity_pp,
+    invert,
+    inverses_by_search,
+    law_replay,
+    pp_from_pairs,
+)
 from semitop import embed
 from semitop.core import (
     NotInverse,
@@ -42,6 +50,7 @@ from semitop.semigroups import (
     PRODUCT_BOUND,
     FinProduct,
     chain_semilattice,
+    commutative_inverse_monoid_catalog,
     cyclic_group,
     embedding_catalog,
     full_transformation_monoid,
@@ -192,6 +201,23 @@ def test_clifford_decompose_structure():
     b2 = CATALOG["B2"]
     with pytest.raises(DomainError, match=rf"at x = {re.escape(b2.label(1))}$"):
         clifford_decompose(inverse_structure(b2))
+
+
+def test_clifford_components_are_the_fibres_of_x_times_its_inverse():
+    """The components partition the carrier: the one over e is every x with
+    x*y == e for the inverse y that search finds, over all the idempotents."""
+    cases = [s for _, s in embedding_catalog() + commutative_inverse_monoid_catalog()
+             if not isinstance(inverse_structure(s), NotInverse)
+             and not clifford_failures_by_replay(s.table)]
+    cases += [signed_antichain_with_zero(w) for w in range(41)]
+    assert len(cases) == 62
+    for s in cases:
+        dec = clifford_decompose(inverse_structure(s))
+        dom = [s.table[x][y] for x in range(s.n) for y in inverses_by_search(s.table, x)]
+        assert dec.idem == idempotents(s), s.name
+        assert dec.components == tuple(
+            tuple(x for x in range(s.n) if dom[x] == e) for e in dec.idem), s.name
+        assert sorted(x for comp in dec.components for x in comp) == list(range(s.n)), s.name
 
 
 def test_clifford_product_embed_small():

@@ -14,8 +14,10 @@ from oracles import (
     clopen_ideals_by_filter,
     derivation_replays,
     ditop_by_replay,
+    factor_set,
     first_discontinuity_by_four_loops,
     indiscrete,
+    inverses_by_search,
     inversion_continuous_by_replay,
     min_nbhd_mask,
     open_class_seeds,
@@ -31,7 +33,12 @@ from semitop.core import (
     inverse_structure,
 )
 from semitop.errors import DomainError, KindError, LoadError, SizeError
-from semitop.semigroups import chain_semilattice, cyclic_group
+from semitop.semigroups import (
+    chain_semilattice,
+    commutative_inverse_monoid_catalog,
+    cyclic_group,
+    embedding_catalog,
+)
 from semitop.topo import (
     TopSemigroup,
     TopSpec,
@@ -209,6 +216,49 @@ def test_ditop_checks_against_replay():
         assert weak.ok == ditop_by_replay(ts.sem.table, inv.inv, ts.top.opens, weak=True)
         inv_ok, _ = inversion_continuity_check(ts, inv)
         assert inv_ok == inversion_continuous_by_replay(ts.sem.table, inv.inv, ts.top.opens)
+
+
+def test_ditop_checks_match_replay_on_drawn_topologies():
+    """Seeded subbases on the inverse catalog members of at most 6 elements;
+    in half the draws every mask holds one drawn point, which makes the
+    topology whose opens are the sets holding B2's zero likely to come up.
+    On each topology with continuous multiplication both verdicts match the
+    literal definition, and each failure (x, z) is replayed: z lies outside
+    the minimal neighborhood of x, yet in the factorization set of that
+    neighborhood and the one around x*x^-1 (and, for the weak form, z^-1*z
+    lies in the one around x^-1*x)."""
+    rng = random.Random(6)
+    verdicts = set()
+    for name, s in embedding_catalog() + commutative_inverse_monoid_catalog():
+        if s.n > 6 or isinstance(inverse_structure(s), NotInverse):
+            continue
+        t = s.table
+        inv = [y for x in range(s.n) for y in inverses_by_search(t, x)]
+        for _ in range(400):
+            anchor = rng.getrandbits(1) << rng.randrange(s.n)
+            top = TopSpec.generated(s.n, [rng.getrandbits(s.n) | anchor
+                                          for _ in range(rng.randint(1, s.n))])
+            try:
+                ts = TopSemigroup(s, top)
+            except DomainError:
+                continue
+            nb = [min_nbhd_mask(top.opens, s.n, x) for x in range(s.n)]
+            inv_ok = inversion_continuous_by_replay(t, inv, top.opens)
+            for weak, rep in ((False, ditopological_check(ts)),
+                              (True, weakly_ditopological_check(ts))):
+                assert rep.ok == ditop_by_replay(t, inv, top.opens, weak=weak), (name, weak)
+                assert rep.inversion_ok == inv_ok, name
+                assert rep.ok == (inv_ok and rep.failure is None), name
+                verdicts.add((name, weak, rep.ok))
+                if rep.failure is None:
+                    continue
+                x, z = rep.failure
+                assert not (nb[x] >> z) & 1, (name, weak)
+                assert (factor_set(t, inv, nb[x], nb[t[x][inv[x]]]) >> z) & 1, (name, weak)
+                assert not weak or (nb[t[inv[x]][x]] >> t[inv[z]][z]) & 1, name
+    # B2 is the one member that is not Clifford: there the weak form passes
+    # on a topology where the strong form fails
+    assert {("B2", False, False), ("B2", True, True)} <= verdicts
 
 
 def test_inversion_discontinuity_detected():
