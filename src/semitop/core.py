@@ -466,6 +466,8 @@ class Congruence:
         if self.kind == TWO_SIDED:
             sides.append((self.base.columns, "not left-stable: {s} * ({rep},{x})"))
         for block in self.blocks():
+            if len(block) == 1:  # no member to compare with the representative
+                continue
             rep = block[0]
             for rows, message in sides:
                 want = _gather(rows[rep])(c)

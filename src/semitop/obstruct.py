@@ -23,10 +23,10 @@ from .core import (
     _close,
     canonical_classes,
     is_semilattice,
-    subsemigroup,
 )
 from .errors import DomainError, KindError, LoadError, SizeError, TheoremViolationError
 from .semigroups import (
+    FinProduct,
     brandt_semigroup,
     cyclic_group,
     right_zero,
@@ -334,10 +334,11 @@ def instance_doc(inst: CatalogInstance) -> dict:
 
 # -- structural checks ---------------------------------------------------------
 
-def right_simple_check(s: FinSemigroup) -> tuple[bool, int | None]:
-    """a*S = S for every a; witness is the least failing element."""
-    for a in range(s.n):
-        if len({s.table[a][x] for x in range(s.n)}) != s.n:
+def right_simple_check(s: FinSemigroup | FinProduct) -> tuple[bool, int | None]:
+    """a*S = S for every a, read off any square table with ``.n`` and
+    ``.table`` (a FinProduct too); witness is the least failing element."""
+    for a, row in enumerate(s.table):
+        if len(set(row)) != s.n:
             return False, a
     return True, None
 
@@ -437,28 +438,19 @@ def _right_simple_zero(w, variant):
     everything and every isolated point loses its singleton class.
     """
     g = _RS_GROUPS[variant]()
-    k = g.n
-
-    def mul(a, b):
-        zero = k * w
-        if a == zero or b == zero:
-            return zero
-        sa, _ = divmod(a, w)
-        sb, rb = divmod(b, w)
-        return g.table[sa][sb] * w + rb
-
-    n = k * w + 1
-    table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
-    names = tuple(f"({g.label(s)},{r})" for s in range(k) for r in range(w)) + ("0",)
-    base = FinSemigroup(table, names=names, name=f"rs_{variant}{w}")
-    ok, bad = right_simple_check(subsemigroup(base, range(n - 1))[0])
+    body = FinProduct((g, right_zero(w)))  # (s, r) at s*w + r
+    ok, bad = right_simple_check(body)
     if not ok:
         raise TheoremViolationError(f"carrier is not right simple at {bad}")
+    zero = body.n
+    table = tuple(row + (zero,) for row in body.table) + ((zero,) * (zero + 1),)
+    names = tuple(f"({g.label(s)},{r})" for s in range(g.n) for r in range(w)) + ("0",)
+    base = FinSemigroup(table, names=names, name=f"rs_{variant}{w}")
     target = EscapeTarget(
         ISOLATED_COLLAPSES, point=0,
         description="right simplicity spreads the zero class over the carrier")
-    full = (1 << n) - 1
-    return (base, n - 1, (full,), full, target,
+    full = (1 << base.n) - 1
+    return (base, zero, (full,), full, target,
             "the zero admits no proper open neighborhood compatible with continuity")
 
 

@@ -23,13 +23,12 @@ def cyclic_group(n) -> FinSemigroup:
 
 
 def symmetric_group(n) -> FinSemigroup:
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(q[p[x]] for x in range(n))] for q in perms) for p in perms
-    )
-    names = tuple("".join(map(str, p)) for p in perms)
-    return FinSemigroup(table, names=names, name=f"S{n}", identity=index[tuple(range(n))])
+    """All permutations of an n-point set, composed as window maps by
+    composition_table: [p][q] is "apply p, then q".  The identity comes
+    first in lexicographic order, so it is index 0."""
+    perms = [Transformation(n, p) for p in itertools.permutations(range(n))]
+    names = tuple("".join(map(str, p.map)) for p in perms)
+    return FinSemigroup(composition_table(perms), names=names, name=f"S{n}", identity=0)
 
 
 def left_zero(n) -> FinSemigroup:
@@ -61,22 +60,13 @@ def antichain_with_zero(n) -> FinSemigroup:
 
 
 def signed_antichain_with_zero(w) -> FinSemigroup:
-    """The antichain-with-zero semilattice paired with a sign group.
+    """The antichain-with-zero semilattice times the sign group Z2: a FinProduct.
 
     Element 2*t + b is (x_t, +) for b = 0 and (x_t, -) for b = 1, with t = w
     standing for the semilattice zero.  Signs multiply, semilattice parts
     meet; a commutative inverse semigroup that is not a monoid for w >= 2.
     """
-    z = w
-
-    def mul(a, b):
-        ta, sa = divmod(a, 2)
-        tb, sb = divmod(b, 2)
-        t = ta if ta == tb else z
-        return 2 * t + (sa ^ sb)
-
-    n = 2 * (w + 1)
-    table = tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
+    table = FinProduct((antichain_with_zero(w), cyclic_group(2))).table
     names = tuple(
         f"{'x%d' % t if t < w else '0'}{'+' if s == 0 else '-'}"
         for t in range(w + 1) for s in range(2)

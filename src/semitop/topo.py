@@ -19,11 +19,14 @@ from .core import (
     _derivation,
     _index,
     _require_inverse,
+    adjoin_zero,
     is_semilattice,
     parse_semigroup,
     semigroup_doc,
 )
 from .errors import DomainError, KindError, LoadError, SizeError
+from .semigroups import (antichain_with_zero, brandt_semigroup, chain_semilattice,
+                         cyclic_group, powerset_semilattice)
 
 
 def mask_of(points) -> int:
@@ -568,22 +571,18 @@ def presentation_from_doc(doc) -> TruncatedPresentation:
 def bundled_top_semigroups():
     """Small named topological semigroups with hand-written open families,
     used as checker fixtures."""
-    from . import semigroups as sg
-
     def upsets(s: FinSemigroup) -> TopSpec:
         masks = [up_set(s, x) for x in range(s.n)]
         return TopSpec.generated(s.n, masks)
 
-    z2 = sg.cyclic_group(2)
-    z3 = sg.cyclic_group(3)
-    from .core import adjoin_zero
-
+    z2 = cyclic_group(2)
+    z3 = cyclic_group(3)
     z20 = adjoin_zero(z2)
-    b2 = sg.brandt_semigroup(2)
-    chain2 = sg.chain_semilattice(2)
-    chain3 = sg.chain_semilattice(3)
-    anti = sg.antichain_with_zero(3)
-    diamond = sg.powerset_semilattice(2)
+    b2 = brandt_semigroup(2)
+    chain2 = chain_semilattice(2)
+    chain3 = chain_semilattice(3)
+    anti = antichain_with_zero(3)
+    diamond = powerset_semilattice(2)
     out = [
         ("Z2_discrete", TopSemigroup(z2, TopSpec.discrete(2))),
         ("Z3_discrete", TopSemigroup(z3, TopSpec.discrete(3))),

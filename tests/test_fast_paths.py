@@ -13,6 +13,7 @@ the same answer, chain order included where the certificate depends on it.
 """
 
 import gc
+import itertools
 import random
 import weakref
 from collections import Counter, deque
@@ -24,9 +25,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import growth_vectors, left_stable, right_stable
+from semitop import core
 from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
                           _gather, _light_holds, _light_holds_on, _Support, _translate_holds,
-                          _UnionFind, canonical_classes, congruence_closure)
+                          _UnionFind, canonical_classes, congruence_closure, diagonal)
 from semitop.errors import DomainError, KindError
 from semitop.obstruct import escape_certificate, forcing_closure, get_instance, verify_certificate
 from semitop.semigroups import (
@@ -351,6 +353,38 @@ def test_generator_check_reads_only_the_column_supports(monkeypatch):
     monkeypatch.setattr(Congruence, "blocks", None)
     Congruence(s, RIGHT, vec)
     assert 0 < counting.reads <= bound < s.n * len(s.generators) // 4
+
+
+@pytest.mark.parametrize("kind", [RIGHT, TWO_SIDED])
+def test_block_scan_skips_blocks_of_one(monkeypatch, kind):
+    """A block of one has no member to compare with its representative, so
+    the diagonal of brandt at window 6 (n = 37, fewer non-representatives
+    than generators, so the block scan runs) gathers no row."""
+    s = brandt_semigroup(6)
+    calls = []
+    gather = core._gather
+
+    def counting(positions):
+        calls.append(positions)
+        return gather(positions)
+
+    monkeypatch.setattr(core, "_gather", counting)
+    assert diagonal(s, kind).num_classes == s.n
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_symmetric_group_composes_p_then_q(n):
+    """Entry [p][q] is the index of "apply p, then q" (x goes to q[p[x]]),
+    the permutations are listed in lexicographic order under their digit
+    strings, and the identity is index 0."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    s = symmetric_group(n)
+    assert s.table == tuple(tuple(index[tuple(q[p[x]] for x in range(n))] for q in perms)
+                            for p in perms)
+    assert s.names == tuple("".join(map(str, p)) for p in perms)
+    assert s.identity == 0 and perms[0] == tuple(range(n))
 
 
 def test_no_cache_outlives_its_semigroup():

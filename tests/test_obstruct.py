@@ -29,6 +29,7 @@ from semitop.obstruct import (
     verify_certificate,
 )
 from semitop.semigroups import (
+    FinProduct,
     antichain_with_zero,
     chain_semilattice,
     commutative_inverse_monoid_catalog,
@@ -238,6 +239,10 @@ def test_right_simple_check():
     assert right_simple_check(cyclic_group(3)) == (True, None)
     ok, wit = right_simple_check(chain_semilattice(3))
     assert not ok and wit == 0
+    # a FinProduct is read through its table: a right group passes, and a
+    # chain factor fails at the least element
+    assert right_simple_check(FinProduct((cyclic_group(2), right_zero(3)))) == (True, None)
+    assert right_simple_check(FinProduct((right_zero(2), chain_semilattice(2)))) == (False, 0)
 
 
 def test_chain_finite_check_values():
