@@ -243,8 +243,8 @@ def test_criterion_10_reproduction_is_byte_deterministic(capsys, tmp_path):
 
 
 # sha256 over the reproduction tree: each file, sorted by relative path, fed
-# as path + NUL + bytes + NUL (73 files, 762,747 bytes)
-ARTIFACT_DIGEST = "a3befac29719da783549244c547df3084a8fc3945dcbb15799590f711abdfb4b"
+# as path + NUL + bytes + NUL (73 files, 762,366 bytes)
+ARTIFACT_DIGEST = "0e70f2ed43d73964d15b3d2e3667c75dea58cad543d32004f45c0f1536ec33d8"
 
 
 def test_reproduction_matches_the_pinned_digest(tmp_path):

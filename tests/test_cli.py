@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import semitop
-from semitop.cli import main
+from semitop.cli import EMBED_KINDS, main
 from semitop.core import Congruence, FinSemigroup, inverse_structure, semigroup_doc
 from semitop.semigroups import (
     brandt_semigroup,
@@ -311,7 +311,6 @@ def test_embed_cayley_and_wp(tmp_path, capsys):
     z2 = sem_file(tmp_path, cyclic_group(2))
     assert main(["embed", "cayley", z2, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["preimages_open"] and doc["images_relatively_open"]
     assert doc["homomorphism"] == "exhaustive"
 
     i2 = sem_file(tmp_path, symmetric_inverse_monoid(2)[0], "i2.json")
@@ -331,10 +330,8 @@ def test_embed_product_adjoin_embcl(tmp_path, capsys):
     assert "2 factor blocks" in capsys.readouterr().out
 
     c2 = sem_file(tmp_path, chain_semilattice(2))
-    assert main(["embed", "adjoin", c2, "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["with_identity"]["preimages_open"]
-    assert doc["with_zero"]["preimages_open"]
+    assert main(["embed", "adjoin", c2]) == 0
+    assert "external identity and external zero" in capsys.readouterr().out
 
     emb = write(tmp_path, "emb.json", {"kind": "symmetric_inverse", "window": 2})
     assert main(["embed", "embcl", emb]) == 0
@@ -365,8 +362,8 @@ def test_embed_product_past_the_bound_is_refused_unevaluated(tmp_path, capsys, m
 # adjoin pair on Z2 (FiniteTable over AffineParity, Identity, Const) and the
 # product Z2 x chain2 (PairBlock)
 EMBED_DIGESTS = {
-    "adjoin": "f6d185454e2cf904d282764ae21c182240a3f7b9fefe7b8a0ae54cf77d11c3a4",
-    "product": "1fabb8403b29869b6a46999a44eec3e884dc045b225354b87acbdf78871b2dfb",
+    "adjoin": "883155640f14ab1504ef54e64b43739334bda9419d292462913b3a6f1bda92f1",
+    "product": "71152f79b16c1971b291f1859175ae16ae54ec1baa0c179eb03bdaf990514ba8",
 }
 
 
@@ -387,14 +384,14 @@ def test_lazy_embed_report_matches_the_pinned_digest(tmp_path, kind):
 # on one point, and the one-element semigroup with and without a declared
 # identity (without one, the right-regular action adjoins a point)
 SMALL_EMBED_DIGESTS = {
-    ("cayley", "one"): "3070e7341ca4ba9ac048ef6b16ab0e98c9416ed1c6bcfcccc4aa54a056eb8393",
-    ("cayley", "trivial"): "bb00b3e27b088d5be7f8ff9b9948887d15ceb3e67dec06344ecc5bb122725515",
+    ("cayley", "one"): "381ebfb94acb11d16ab5bb31145f97da134c687f2bf1b77636e5bd9672b3108c",
+    ("cayley", "trivial"): "92e129ce36b9b062616e1d4df5c7bb105c60b4ccdfa84114697a21234adb74bc",
     ("group-restrict", "window0"):
-        "9a29f04ecc8065c3b60bfbe09d95ba5b611423ea0a0140616218b5382c965f40",
+        "0f2d8e51066b2c4a42a8e3c988ec305acd9f57a719bc35bb461f164252dd8638",
     ("group-restrict", "window1"):
-        "37179cf8c783e77fb767f641ef9a0644aa7663f1b1f9aece6e441764b1bf1ddd",
-    ("wp", "one"): "81a0e872740b80dcb5fb207b82d47aa252e01cd425504d757e9b348365387740",
-    ("wp", "trivial"): "384f36d771b44fb5b3ca5855be5f348aee0e7803b96d1315669ddfeed85735d6",
+        "b1a1b246a49e81c291e7708f0fb90981eb4a847c8e9f1d374af3a4559f88c6f8",
+    ("wp", "one"): "becc467f121147075effade50dc0c2aa244343fac542f3a79e00978ca22a04f4",
+    ("wp", "trivial"): "0a9b6f251acb0324d282e3b686fb1488a83c1d7536c69913df0161198987cd78",
 }
 SMALL_EMBED_INPUTS = {
     "one": semigroup_doc(FinSemigroup(((0,),))),
@@ -431,6 +428,36 @@ def test_embed_clifford_product_and_group_restrict(tmp_path, capsys):
     assert main(["embed", "clifford-product", b2]) == 1
     assert capsys.readouterr().err == ("error: not a Clifford semigroup: "
                                        "x*x^-1 differs from x^-1*x at x = (0,1)\n")
+
+
+# one input per embed kind, and the report keys that kind decides beside its
+# representations
+EMBED_CASES = {
+    "cayley": (semigroup_doc(cyclic_group(2)), set()),
+    "wp": (semigroup_doc(symmetric_inverse_monoid(2)[0]), {"preserves_inversion"}),
+    "product": ({"kind": "product", "factors": [
+        semigroup_doc(cyclic_group(2)), semigroup_doc(chain_semilattice(2))]}, set()),
+    "adjoin": (semigroup_doc(chain_semilattice(2)), set()),
+    "embcl": ({"kind": "symmetric_inverse", "window": 2}, set()),
+    "clifford-product": (semigroup_doc(cyclic_group(2)), {"factor_sizes"}),
+    "group-restrict": ({"kind": "transformation_group", "window": 4,
+                        "maps": [[0, 1, 0, 1], [1, 0, 1, 0]]}, {"laws", "common_image"}),
+}
+
+
+@pytest.mark.parametrize("kind", EMBED_KINDS)
+def test_embed_report_holds_only_what_its_kind_decides(tmp_path, capsys, kind):
+    """Each representation writes its document and how its homomorphism law
+    was checked, and no topological audit: on a finite source that audit
+    passes exactly when the source is discrete, so it decides nothing."""
+    doc, decided = EMBED_CASES[kind]
+    assert main(["embed", kind, write(tmp_path, "in.json", doc), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    summary = {"representation", "homomorphism"}
+    reps = {"with_identity", "with_zero"} if kind == "adjoin" else summary
+    assert set(report) == {"schema", "embed"} | reps | decided
+    if kind == "adjoin":
+        assert set(report["with_identity"]) == set(report["with_zero"]) == summary
 
 
 def test_color_toggle(capsys, monkeypatch):

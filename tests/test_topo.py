@@ -34,10 +34,12 @@ from semitop.core import (
 )
 from semitop.errors import DomainError, KindError, LoadError, SizeError
 from semitop.semigroups import (
+    brandt_semigroup,
     chain_semilattice,
     commutative_inverse_monoid_catalog,
     cyclic_group,
     embedding_catalog,
+    symmetric_inverse_monoid,
 )
 from semitop.topo import (
     TopSemigroup,
@@ -268,6 +270,58 @@ def test_inversion_discontinuity_detected():
     assert not ok and wit == (0, 1)
     assert not inversion_continuous_by_replay(ts.sem.table, (1, 0), ts.top.opens)
     assert inversion_continuity_check(ts, (0, 1))[0]
+
+
+def inversion_breaks_in_some_topology(table, inv):
+    """The pairs (a, c) whose principal compatible preorder Pr(a, c) does not
+    lead from inv[a] to inv[c], without any topology code.
+
+    A topology on a finite carrier is a preorder, a -> c iff c is in N_a, and
+    multiplication is continuous exactly when the preorder is compatible: a
+    -> c gives s*a*t -> s*c*t for all s, t in S^1.  Pr(a, c), the least
+    compatible preorder with a -> c, is the reflexive-transitive closure of
+    those pairs.  Every compatible preorder holding a -> c holds Pr(a, c), so
+    an empty answer means inversion is continuous in every topology with
+    continuous multiplication; a pair (a, c) names Pr(a, c) as a topology
+    where it is not."""
+    n = len(table)
+    failures = []
+    for a in range(n):
+        for c in range(n):
+            if a == c:
+                continue
+            left = {(a, c)} | {(row[a], row[c]) for row in table}
+            pairs = left | {(table[x][t], table[y][t]) for x, y in left for t in range(n)}
+            succ = {}
+            for x, y in pairs:
+                succ.setdefault(x, []).append(y)
+            seen, stack = {inv[a]}, [inv[a]]
+            while stack:
+                for y in succ.get(stack.pop(), ()):
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if inv[c] not in seen:
+                failures.append((a, c))
+    return failures
+
+
+@pytest.mark.parametrize("sem", [brandt_semigroup(2), brandt_semigroup(3), brandt_semigroup(4),
+                                 symmetric_inverse_monoid(2)[0], symmetric_inverse_monoid(3)[0]],
+                         ids=lambda sem: sem.name)
+def test_inversion_is_continuous_in_every_topology_with_continuous_multiplication(sem):
+    """Evidence for README's open question on non-Clifford inverse
+    semigroups (in a Clifford one x^-1 is a power of x, so the answer is
+    immediate): here no topology at all separates the two continuities."""
+    t = sem.table
+    inv = [y for x in range(sem.n) for (y,) in [inverses_by_search(t, x)]]
+    assert inversion_breaks_in_some_topology(t, inv) == []
+
+
+def test_a_map_that_is_not_inversion_breaks_in_some_topology():
+    # the swap on the two-element chain: Pr(1, 0) is Sierpinski space
+    assert inversion_breaks_in_some_topology(chain_semilattice(2).table, (1, 0)) == [
+        (0, 1), (1, 0)]
 
 
 def assert_open_candidates_escape(rep, s, nb):
