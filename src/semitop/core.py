@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress, repeat
-from operator import itemgetter, ne
+from operator import itemgetter, lt, ne
 
 from .errors import (
     DomainError,
@@ -25,12 +25,12 @@ RIGHT = "right"
 TWO_SIDED = "two-sided"
 
 
-def _greedy_generators(rows):
+def _greedy_generators(rows, sizes=None):
     """Scan the elements by decreasing size of their principal right ideal
-    aS (the distinct entries of a's row), ties by index, and make each
-    element not yet generated a generator.  Elements high in the R-order
-    come first, so they generate much of what follows: I4 needs 5
-    generators in this order and 84 in index order.
+    aS (the distinct entries of a's row; sizes[a] when the caller knows it),
+    ties by index, and make each element not yet generated a generator.
+    Elements high in the R-order come first, so they generate much of what
+    follows: I4 needs 5 generators in this order and 84 in index order.
 
     The generated set is the right-Cayley closure: every reached element is
     multiplied on the right by every generator once, so the closure costs
@@ -41,10 +41,12 @@ def _greedy_generators(rows):
     the left-bracketed products are all products, so the list equals the
     one a closure under the product on both sides would give.
     """
+    if sizes is None:
+        sizes = [len(set(row)) for row in rows]
     seen = [False] * len(rows)
     reached = []
     gens = []
-    for x in sorted(range(len(rows)), key=lambda a: -len(set(rows[a]))):
+    for x in sorted(range(len(rows)), key=lambda a: -sizes[a]):
         if seen[x]:
             continue
         gens.append(x)
@@ -94,6 +96,36 @@ def _light_holds_on(rows, g, cols):
     return all(rows[xg] == expand(on_gs) for xg, on_gs in keys)
 
 
+def _light_holds_at_zero(rows, z, supports, cols, g):
+    """Light's test at g on rows with the two-sided zero z, read on the
+    supports alone: supports[x] is R(x) = {y : x*y != z}, ascending, and
+    cols[c] is C(c) = {x : x*c != z}.  (x*g)*y == x*(g*y) for all x, y
+    exactly when
+      (a) C(g*y) is inside C(g) for every y in R(g), and
+      (b) (x*g)*y == x*(g*y) for every x in C(g), y in R(x*g) | R(g).
+    For x outside C(g) the left side is z*y = z; so is the right side, x*z
+    when y is outside R(g) and by (a) when y is in it.  For x in C(g) and y
+    outside R(x*g) | R(g) both sides are z.  A y in R(x*g) outside R(g) has
+    x*(g*y) = x*z = z != (x*g)*y, so (b) holds exactly when R(x*g) lies in
+    R(g), which the count of non-zero entries of row x*g on R(g) decides,
+    and the two sides agree on R(g).  The test reads sum |C(c)| over gS
+    plus 2 |C(g)| |R(g)| entries: about 3 w^2 for a Brandt generator of
+    window w, against n (w + 1) for the dense test (see _light_holds_on).
+    """
+    on_rg = _gather(supports[g])
+    gy = on_rg(rows[g])  # g*y for y in R(g)
+    cg = set(cols[g])
+    if not all(map(cg.issuperset, map(cols.__getitem__, gy))):
+        return False
+    times_g = _gather(gy)  # times_g(row x) == x*(g*y) for y in R(g)
+    for x in cols[g]:
+        xg = rows[x][g]
+        got = on_rg(rows[xg])
+        if got != times_g(rows[x]) or len(supports[xg]) != len(gy) - got.count(z):
+            return False
+    return True
+
+
 def check_associativity(table):
     """Return (True, None) or (False, first violating triple (a, b, c)).
 
@@ -111,9 +143,12 @@ def check_associativity(table):
     (see _greedy_generators), give A = S.  For each g the check is
     restricted to the columns gS (see _light_holds_on), which costs
     O(n |gS| + keys n) per generator, against O(n^2) for the direct row
-    comparison it keeps when 2 |gS| > n.  For a Brandt carrier of window w,
-    |gS| = w + 1.  Only when the test fails does the triple scan run, so the
-    witness is the lexicographically least violating triple.
+    comparison it keeps when 2 |gS| > n.  Tables given here are always read
+    this way; the catalog's Brandt carriers are built by
+    FinSemigroup.from_supports, which runs the same test on the supports of
+    their rows (see _light_holds_at_zero).  Only when the test fails does
+    the triple scan run, so the witness is the lexicographically least
+    violating triple.  An empty table is refused.
     """
     triple = _associativity(table)[0]
     return triple is None, triple
@@ -123,25 +158,41 @@ def _associativity(table):
     """(None, generating set) for an associative table, (first violating
     triple, None) otherwise; see check_associativity."""
     n = len(table)
+    if not n:
+        raise MalformedTableError("table is empty")
     for row in table:
         if len(row) != n:
             raise MalformedTableError(f"table is not square: row of length {len(row)}, expected {n}")
-        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
-            continue
-        for v in row:
-            if type(v) is not int or not 0 <= v < n:
-                raise MalformedTableError(f"entry {v!r} out of range 0..{n - 1}")
+        _check_indices(row, n)
     rows = [tuple(row) for row in table]
-    gens = _greedy_generators(rows)
-    if all(_light_holds(rows, g) for g in gens):
+    return _light_verdict(rows, _greedy_generators(rows), partial(_light_holds, rows))
+
+
+def _check_indices(entries, n):
+    """Raise MalformedTableError at the first entry that is not an int
+    (bools excluded) in 0..n-1; entries of plain ints within range pass at
+    C speed."""
+    if set(map(type, entries)) == {int} and min(entries) >= 0 and max(entries) < n:
+        return
+    for v in entries:
+        if type(v) is not int or not 0 <= v < n:
+            raise MalformedTableError(f"entry {v!r} out of range 0..{n - 1}")
+
+
+def _light_verdict(rows, gens, holds):
+    """(None, gens) when holds(g), Light's test at g, is true for every
+    generator; otherwise (the least violating triple, None) from the triple
+    scan over the rows."""
+    if all(map(holds, gens)):
         return None, tuple(gens)
+    n = len(rows)
     for a in range(n):
-        ta = table[a]
+        ra = rows[a]
         for b in range(n):
-            ab = ta[b]
-            tb = table[b]
+            rab = rows[ra[b]]
+            rb = rows[b]
             for c in range(n):
-                if table[ab][c] != ta[tb[c]]:
+                if rab[c] != ra[rb[c]]:
                     return (a, b, c), None
     return None, tuple(gens)
 
@@ -172,7 +223,9 @@ class _Support(dict):
     from the zero d of the rows (see _zero), listed the first time row a is
     asked for.  Rows without a zero have d None, which every entry differs
     from, so their supports are whole rows.  d is found at the first ask,
-    so a closure that merges nothing reads nothing.
+    so a closure that merges nothing reads nothing.  A semigroup built by
+    FinSemigroup.from_supports holds every row's support and d from the
+    start.
     """
 
     def __init__(self, rows):
@@ -189,9 +242,55 @@ class _Support(dict):
         return got
 
 
+def _rows_from_supports(z, supports, values):
+    """Check the sparse data of FinSemigroup.from_supports and derive from
+    it (dense rows, supports as tuples, column supports, sizes of aS).
+
+    Every support and value entry must be an int (not a bool) in range,
+    each support strictly ascending and as long as its values, no value z,
+    z's row empty and z in no support: then z is a two-sided zero.  The
+    checks read each support and value entry a bounded number of times, at
+    C speed within a row.  Row a is [z] * n with values[a] written at
+    supports[a]; it differs from z exactly on its support, so aS is its
+    distinct values, plus z when the support is not the whole row.
+    """
+    n = len(supports)
+    if not n:
+        raise MalformedTableError("empty carrier")
+    if len(values) != n:
+        raise MalformedTableError(f"{len(values)} value rows for {n} supports")
+    if type(z) is not int or not 0 <= z < n:
+        raise MalformedTableError(f"zero {z!r} out of range 0..{n - 1}")
+    supports = [tuple(sup) for sup in supports]  # a tuple is kept, not copied
+    values = [tuple(vals) for vals in values]
+    for a, (sup, vals) in enumerate(zip(supports, values)):
+        if len(sup) != len(vals):
+            raise MalformedTableError(f"row {a}: {len(sup)} support places for {len(vals)} values")
+        _check_indices(sup, n)
+        _check_indices(vals, n)
+        if not all(map(lt, sup, sup[1:])):
+            raise MalformedTableError(f"support of row {a} is not strictly ascending")
+        if z in vals:
+            raise MalformedTableError(f"row {a} holds the zero {z} on its support")
+    if supports[z]:
+        raise MalformedTableError(f"the row of the zero {z} has a non-empty support")
+    rows, cols = [], [[] for _ in range(n)]
+    for x, (sup, vals) in enumerate(zip(supports, values)):
+        row = [z] * n
+        for y, v in zip(sup, vals):
+            row[y] = v
+            cols[y].append(x)
+        rows.append(tuple(row))
+    if cols[z]:
+        raise MalformedTableError(f"the zero {z} lies in the support of row {cols[z][0]}")
+    sizes = [len(set(vals)) + (len(sup) < n) for sup, vals in zip(supports, values)]
+    return rows, supports, cols, sizes
+
+
 @dataclass(frozen=True)
 class FinSemigroup:
-    """A finite semigroup given by its full multiplication table."""
+    """A finite semigroup given by its full multiplication table, or, when it
+    has a zero, by the supports of its rows (see from_supports)."""
 
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
@@ -201,9 +300,40 @@ class FinSemigroup:
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
+        self._settle(*_associativity(self.table))
+
+    @classmethod
+    def from_supports(cls, z, supports, values, names=None, name=""):
+        """The semigroup with the two-sided zero z whose row a differs from
+        z exactly at the ascending positions supports[a], where it holds
+        values[a].
+
+        Only the sparse data is read: _rows_from_supports checks it and
+        derives the dense table, so the table is never taken on trust.
+        Light's test runs on the supports (_light_holds_at_zero) over the
+        greedy generators, ranked by the sizes of aS read off the values,
+        and the row_support cache is seeded with the given supports.  A
+        non-associative table raises the same error, naming the same least
+        triple, as FinSemigroup(table) would.
+        """
+        rows, supports, cols, sizes = _rows_from_supports(z, supports, values)
+        holds = partial(_light_holds_at_zero, rows, z, supports, cols)
+        s = cls.__new__(cls)
+        for key, value in (("table", tuple(rows)), ("names", names), ("name", name),
+                           ("identity", None)):
+            object.__setattr__(s, key, value)
+        s._settle(*_light_verdict(rows, _greedy_generators(rows, sizes), holds))
+        support = _Support(s.table)
+        support.update(enumerate(supports))
+        support.d = z
+        object.__setattr__(s, "row_support", support)
+        return s
+
+    def _settle(self, triple, gens):
+        """Finish a construction from the associativity verdict: refuse a
+        violating triple, keep the generators, check labels and identity."""
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
-        triple, gens = _associativity(self.table)
         if triple is not None:
             raise MalformedTableError(f"not associative at {triple}")
         object.__setattr__(self, "generators", gens)

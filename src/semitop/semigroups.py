@@ -129,14 +129,15 @@ def brandt_semigroup(w) -> FinSemigroup:
     {(i, j)} at index i*w + j, the empty map at index w*w.
 
     (i, j)*(k, l) is (i, l) when j == k and empty otherwise, so the row of
-    (i, j) is empty except for block j, which holds (i, 0) .. (i, w-1)."""
-    empty = w * w
-    empty_row = (empty,) * (empty + 1)
-    table = tuple(
-        empty_row[:j * w] + tuple(range(i * w, i * w + w)) + empty_row[j * w + w:]
-        for i in range(w) for j in range(w)) + (empty_row,)
+    (i, j) is empty except on block j, where it holds (i, 0) .. (i, w-1).
+    The carrier is built from those supports (FinSemigroup.from_supports),
+    and block i, as a tuple, is one object shared by every row it is the
+    support or the values of."""
+    blocks = [tuple(range(i * w, i * w + w)) for i in range(w)]
+    supports = [blocks[j] for i in range(w) for j in range(w)] + [()]
+    values = [blocks[i] for i in range(w) for j in range(w)] + [()]
     names = tuple(f"({i},{j})" for i in range(w) for j in range(w)) + ("0",)
-    return FinSemigroup(table, names=names, name=f"B{w}")
+    return FinSemigroup.from_supports(w * w, supports, values, names=names, name=f"B{w}")
 
 
 PRODUCT_BOUND = 2048  # elements of the largest product whose table is built

@@ -524,6 +524,7 @@ def exB4_presentation(key, value):
     ("check", "cong-basis", exB4_presentation("window", 4.5)),
     ("check", "inverse", {"table": [[0, 0], [0, 1]], "identity": True}),
     ("check", "assoc", {"table": [[True, False], [False, True]]}),
+    ("check", "assoc", {"table": []}),
     ("check", "inverse", {"table": [[0]], "inverse": 5}),
     ("check", "inverse", {"table": [[0]], "inverse": [False]}),
     ("check", "vp", {"semigroup": semigroup_doc(cyclic_group(2)), "congruence": 5}),
@@ -543,8 +544,8 @@ def exB4_presentation(key, value):
         "assoc-flat-table", "u-topology-n-str", "restrict-map-int",
         "restrict-map-str-entry", "restrict-map-float-entry", "u-topology-n-float",
         "presentation-point-negative", "presentation-limit-str", "presentation-window-float",
-        "semigroup-identity-bool", "assoc-bool-entries", "semigroup-inverse-int",
-        "semigroup-inverse-bool", "vp-congruence-int", "vp-congruence-str",
+        "semigroup-identity-bool", "assoc-bool-entries", "assoc-empty-table",
+        "semigroup-inverse-int", "semigroup-inverse-bool", "vp-congruence-int", "vp-congruence-str",
         "vp-congruence-float", "u-topology-n-huge", "presentation-nbhd-not-open",
         "presentation-strict-str", "presentation-strict-int"])
 def test_malformed_inputs_give_one_error_line(tmp_path, capsys, command, kind, doc):

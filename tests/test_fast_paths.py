@@ -27,13 +27,15 @@ from hypothesis import strategies as st
 from oracles import growth_vectors, left_stable, right_stable
 from semitop import core
 from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
-                          _gather, _light_holds, _light_holds_on, _Support, _translate_holds,
-                          _UnionFind, canonical_classes, congruence_closure, diagonal)
-from semitop.errors import DomainError, KindError
+                          _gather, _light_holds, _light_holds_at_zero, _light_holds_on, _Support,
+                          _translate_holds, _UnionFind, canonical_classes, congruence_closure,
+                          diagonal)
+from semitop.errors import DomainError, KindError, MalformedTableError
 from semitop.obstruct import escape_certificate, forcing_closure, get_instance, verify_certificate
 from semitop.semigroups import (
     brandt_semigroup,
     chain_semilattice,
+    commutative_inverse_monoid_catalog,
     composition_table,
     cyclic_group,
     embedding_catalog,
@@ -401,19 +403,160 @@ def test_no_cache_outlives_its_semigroup():
     assert ref() is None
 
 
-@pytest.mark.parametrize("w", range(1, 9))
-def test_brandt_table_matches_its_product_rule(w):
+def brandt_by_product_rule(w):
+    """B_w as the dense table of its product rule: (i, j)*(k, l) is (i, l)
+    when j == k, the empty map w*w otherwise."""
     empty = w * w
+    pairs = [divmod(b, w) for b in range(empty)]
+    rows = [tuple([i * w + l if j == k else empty for k, l in pairs] + [empty])
+            for i, j in pairs]
+    return tuple(rows) + ((empty,) * (empty + 1),)
 
-    def mul(a, b):
-        if a == empty or b == empty:
-            return empty
-        i, j = divmod(a, w)
-        k, l = divmod(b, w)
-        return i * w + l if j == k else empty
 
-    n = empty + 1
-    assert brandt_semigroup(w).table == tuple(tuple(mul(a, b) for b in range(n)) for a in range(n))
+@pytest.mark.parametrize("w", [*range(1, 17), 24, 40])
+def test_brandt_table_matches_its_product_rule(w):
+    """The carrier built from its supports against the dense definition:
+    the same table, labels and generators (2w - 1 of them), and the seeded
+    row supports are the ones read off the table."""
+    s = brandt_semigroup(w)
+    table = brandt_by_product_rule(w)
+    assert s.table == table
+    assert s.names == tuple(f"({i},{j})" for i in range(w) for j in range(w)) + ("0",)
+    assert s.generators == FinSemigroup(table).generators
+    assert len(s.generators) == (2 * w - 1 if w > 1 else 2)  # B1's zero is no product
+    if w <= 16:
+        want = _Support(table)
+        assert s.row_support.d == want.d == w * w
+        assert all(list(s.row_support[a]) == want[a] for a in range(s.n))
+
+
+def test_brandt_builds_and_searches_without_a_dense_pass(monkeypatch):
+    """The catalog's Brandt carriers never run the dense associativity
+    check, the dense Light's test or a support scan of a row: building
+    brandt and luke at window 24 and searching brandt at window 8 pass with
+    all three made to fail."""
+    def refuse(*args):
+        raise AssertionError("dense pass")
+
+    monkeypatch.setattr(core, "_associativity", refuse)
+    monkeypatch.setattr(core, "_light_holds", refuse)
+    monkeypatch.setattr(_Support, "__missing__", refuse)
+    assert get_instance("brandt", 24).presentation.base.n == 577
+    assert get_instance("luke", 24).presentation.base.n == 577
+    cert = escape_certificate(get_instance("brandt", 8))
+    assert len(cert.branches) == 6
+
+
+def sparse_parts(rows, z):
+    """The supports, values and column supports of rows against z."""
+    n = len(rows)
+    supports = [tuple(y for y in range(n) if row[y] != z) for row in rows]
+    values = [tuple(v for v in row if v != z) for row in rows]
+    cols = [[x for x in range(n) if rows[x][c] != z] for c in range(n)]
+    return supports, values, cols
+
+
+def assert_sparse_light_matches(rows, z):
+    """Light's test on the supports against the dense test, at every
+    generator of the rows."""
+    supports, _, cols = sparse_parts(rows, z)
+    for g in _greedy_generators(rows):
+        assert _light_holds_at_zero(rows, z, supports, cols, g) == _light_holds(rows, g), g
+
+
+def built_or_error(make, *args):
+    """The semigroup make builds, or the text of the MalformedTableError it
+    raises."""
+    try:
+        return make(*args)
+    except MalformedTableError as exc:
+        return str(exc)
+
+
+WITH_ZERO = [(name, s) for name, s in dict(commutative_inverse_monoid_catalog()
+                                            + embedding_catalog()).items()
+             if two_sided_zeros(s.table)]
+
+
+@pytest.mark.parametrize("name,s", WITH_ZERO + [(f"B{w}", w) for w in range(1, 17)],
+                         ids=[name for name, _ in WITH_ZERO] + [f"B{w}" for w in range(1, 17)])
+def test_light_on_supports_matches_the_dense_test(name, s):
+    """Every catalog carrier with a zero, and B_w up to window 16, rebuilt
+    from its supports: the same table and generators, and the sparse
+    Light's test agrees with the dense one at every generator."""
+    table = brandt_by_product_rule(s) if isinstance(s, int) else s.table
+    z, = two_sided_zeros(table)
+    rows = list(table)
+    assert_sparse_light_matches(rows, z)
+    rebuilt = FinSemigroup.from_supports(z, *sparse_parts(rows, z)[:2])
+    dense = FinSemigroup(table)
+    assert rebuilt == dense and rebuilt.generators == dense.generators
+
+
+@pytest.mark.parametrize("w,values_only", [(3, False), (4, True)])
+def test_light_on_supports_matches_the_dense_test_on_mutated_brandt_tables(w, values_only):
+    """Each one-entry mutation of B_w off the zero's row and column, which
+    keeps the zero two-sided (for B4 only those of an entry on a support to
+    another value): the sparse Light's test agrees with the dense one at
+    every generator, and building from the supports gives what the dense
+    constructor gives, the same error text on a table that is not
+    associative included."""
+    z = w * w
+    base = brandt_by_product_rule(w)
+    failed = 0
+    for a, b in itertools.product(range(z), repeat=2):
+        if values_only and base[a][b] == z:
+            continue
+        for v in range(z + 1):
+            if v == base[a][b] or values_only and v == z:
+                continue
+            rows = list(base)
+            rows[a] = rows[a][:b] + (v,) + rows[a][b + 1:]
+            assert_sparse_light_matches(rows, z)
+            supports, values, _ = sparse_parts(rows, z)
+            got = built_or_error(FinSemigroup.from_supports, z, supports, values)
+            want = built_or_error(FinSemigroup, rows)
+            assert got == want, (a, b, v)
+            if isinstance(want, str):
+                failed += 1
+            else:
+                assert got.generators == want.generators
+    assert failed > 0
+
+
+B2_SUPPORTS = [(0, 1), (2, 3), (0, 1), (2, 3), ()]
+B2_VALUES = [(0, 1), (0, 1), (2, 3), (2, 3), ()]
+
+
+def b2_with(row, support=None, values=None):
+    """B2's supports and values with row replaced where given."""
+    supports, vals = list(B2_SUPPORTS), list(B2_VALUES)
+    if support is not None:
+        supports[row] = support
+    if values is not None:
+        vals[row] = values
+    return supports, vals
+
+
+@pytest.mark.parametrize("z,supports,values,message", [
+    (4, *b2_with(0, values=(True, 1)), "entry True out of range 0..4"),
+    (4, *b2_with(0, support=(0.0, 1)), "entry 0.0 out of range 0..4"),
+    (4, *b2_with(1, values=(0, 5)), "entry 5 out of range 0..4"),
+    (4, *b2_with(2, values=(2, 4)), "row 2 holds the zero 4 on its support"),
+    (4, *b2_with(3, support=(3, 2)), "support of row 3 is not strictly ascending"),
+    (4, *b2_with(1, values=(0,)), "row 1: 2 support places for 1 values"),
+    (4, *b2_with(4, support=(0,), values=(0,)), "the row of the zero 4 has a non-empty support"),
+    (4, *b2_with(0, support=(0, 4)), "the zero 4 lies in the support of row 0"),
+    (0, [], [], "empty carrier"),
+    (5, B2_SUPPORTS, B2_VALUES, "zero 5 out of range 0..4"),
+    (4, B2_SUPPORTS, B2_VALUES[:4], "4 value rows for 5 supports"),
+], ids=["bool", "float", "out-of-range", "value-is-zero", "not-ascending", "length-mismatch",
+        "zero-row", "zero-in-support", "empty", "zero-out-of-range", "value-rows"])
+def test_malformed_sparse_input_is_refused(z, supports, values, message):
+    # the unchanged data is B2, so each refusal comes from its one change
+    assert FinSemigroup.from_supports(4, B2_SUPPORTS, B2_VALUES).table == brandt_by_product_rule(2)
+    with pytest.raises(MalformedTableError, match=f"^{message}$"):
+        FinSemigroup.from_supports(z, supports, values)
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(

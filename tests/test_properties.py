@@ -483,8 +483,10 @@ def test_associativity_matches_triple_scan_on_relabelled_and_mutated_tables(base
 def test_associativity_decides_left_zero_bands_and_their_mutations(n):
     """Every row of a left-zero band is constant, so |gS| = 1 and Light's
     test reads one column through the one-position gather; every one-entry
-    mutation must get the triple scan's verdict and witness."""
-    assert check_associativity([]) == (True, None)
+    mutation must get the triple scan's verdict and witness.  An empty
+    table has no elements to check and is refused."""
+    with pytest.raises(MalformedTableError, match="^table is empty$"):
+        check_associativity([])
     assert check_associativity([[0]]) == (True, None)
     band = [list(row) for row in left_zero(n).table]
     assert check_associativity(band) == (True, None)
