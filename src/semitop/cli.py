@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -161,6 +162,10 @@ def _transcript(inst, cert) -> list[str]:
 
 
 def cmd_obstruct(args) -> int:
+    if args.replay and (args.out or args.json):
+        print("error: --replay prints a verdict line only; it takes neither --out nor --json",
+              file=sys.stderr)
+        return 1
     inst = get_instance(args.instance, window=args.window)
     if args.replay:
         cert = certificate_from_doc(_load_json(args.replay))
@@ -426,14 +431,31 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys.stdout, "reconfigure"):  # a label the locale cannot encode is escaped
-        sys.stdout.reconfigure(errors="backslashreplace")
-    args = _parser().parse_args(argv)
+    """Run one command with the cyclic garbage collector paused, and give
+    the caller back the collector as it was, even when the command raises.
+
+    A command builds only acyclic data: frozen dataclasses, tuples, lists
+    of ints and JSON trees (_emit_json skips the encoder's cycle check for
+    the same reason), so reference counting frees all of it, and the
+    collector would only rescan the many small containers of a certificate
+    while they live.  The few cycles a failed command leaves, such as an
+    exception's traceback, are freed by the first collection after main
+    returns.  Library functions keep the collector as their caller set it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (SemitopError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if hasattr(sys.stdout, "reconfigure"):  # a label the locale cannot encode is escaped
+            sys.stdout.reconfigure(errors="backslashreplace")
+        args = _parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (SemitopError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

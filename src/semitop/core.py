@@ -219,26 +219,31 @@ def _zero(rows):
 
 
 class _Support(dict):
-    """``support[a]``: the ascending positions where ``rows[a]`` differs
-    from the zero d of the rows (see _zero), listed the first time row a is
-    asked for.  Rows without a zero have d None, which every entry differs
-    from, so their supports are whole rows.  d is found at the first ask,
+    """``support[a]``: the ascending positions where line a of the rows
+    differs from the zero d of the rows (see _zero), listed the first time
+    line a is asked for.  Line a is ``rows[a]``, or, with column set, the
+    column ``rows[x][a]`` over x, read off the rows at C speed, so no
+    transposed table is built; the zero of a table is the zero of its
+    transpose.  Rows without a zero have d None, which every entry differs
+    from, so their supports are whole lines.  d is found at the first ask,
     so a closure that merges nothing reads nothing.  A semigroup built by
-    FinSemigroup.from_supports holds every row's support and d from the
-    start.
+    FinSemigroup.from_supports holds every row's and every column's support
+    and d from the start.
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, column=False):
         super().__init__()
         self.rows = rows
+        self.column = column
 
     @cached_property
     def d(self):
         return _zero(self.rows)
 
     def __missing__(self, a):
-        row = self.rows[a]
-        got = self[a] = list(compress(range(len(row)), map(ne, row, repeat(self.d))))
+        rows = self.rows
+        line = map(itemgetter(a), rows) if self.column else rows[a]
+        got = self[a] = list(compress(range(len(rows)), map(ne, line, repeat(self.d))))
         return got
 
 
@@ -312,7 +317,8 @@ class FinSemigroup:
         derives the dense table, so the table is never taken on trust.
         Light's test runs on the supports (_light_holds_at_zero) over the
         greedy generators, ranked by the sizes of aS read off the values,
-        and the row_support cache is seeded with the given supports.  A
+        and the row_support and column_support caches are seeded with the
+        given supports and the column supports derived from them.  A
         non-associative table raises the same error, naming the same least
         triple, as FinSemigroup(table) would.
         """
@@ -323,10 +329,12 @@ class FinSemigroup:
                            ("identity", None)):
             object.__setattr__(s, key, value)
         s._settle(*_light_verdict(rows, _greedy_generators(rows, sizes), holds))
-        support = _Support(s.table)
-        support.update(enumerate(supports))
-        support.d = z
-        object.__setattr__(s, "row_support", support)
+        for key, lines, column in (("row_support", supports, False),
+                                   ("column_support", cols, True)):
+            support = _Support(s.table, column)
+            support.update(enumerate(lines))
+            support.d = z
+            object.__setattr__(s, key, support)
         return s
 
     def _settle(self, triple, gens):
@@ -374,8 +382,8 @@ class FinSemigroup:
     @cached_property
     def column_support(self) -> _Support:
         """Where each column differs from the zero: the whole column
-        without one."""
-        return _Support(self.columns)
+        without one.  Each is read off the rows, not off columns."""
+        return _Support(self.table, column=True)
 
 
 def is_commutative(s: FinSemigroup) -> bool:
@@ -517,24 +525,39 @@ def canonical_classes(vec) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _translate_holds(c, size, line, support, cd):
-    """Whether x -> line[x] sends each class of the class vector c into one
-    class, when line[x] is the zero, of class cd, at every x outside the
-    ascending list support; size[a] is the number of members of class a.
-    With no zero, cd is None and the support is the whole line.
+def _translate_holds(c, size, support, images, d):
+    """Whether a translation sends each class of the class vector c into
+    one class, when it sends the x of the ascending list support to images,
+    in order, and every other x to the zero d; size[a] is the number of
+    members of class a.  With no zero, d is None and the support is the
+    whole carrier.
 
     The members in the support must send each class to one class.  A class
-    with members outside the support also goes to cd, so a class sent
-    elsewhere must lie inside the support: counting the support members
-    sent outside cd checks that for all such classes at once.  The cost is
-    O(len(support)) whatever the size of c.
+    with members outside the support also goes to the class cd of d, so a
+    class sent elsewhere must lie inside the support: counting the support
+    members sent outside cd checks that for all such classes at once.  The
+    cost is O(len(support)) whatever the size of c.
     """
+    cd = None if d is None else c[d]
     src = map(c.__getitem__, support)
-    dst = tuple(map(c.__getitem__, map(line.__getitem__, support)))
+    dst = tuple(map(c.__getitem__, images))
     pairs = set(zip(src, dst))
     image = dict(pairs)
     return (len(image) == len(pairs)
             and len(dst) - dst.count(cd) == sum(size[a] for a, b in image.items() if b != cd))
+
+
+def _stable_on_generators(base, kind, c):
+    """Whether the class vector c is right stable under every generator g
+    of base, and left stable too for the two-sided kind (see Congruence).
+    x*g is read off row x for the x in g's column support, and g*x off row
+    g on its row support, so no column of the table is built."""
+    t, cols, rows = base.table, base.column_support, base.row_support
+    holds = partial(_translate_holds, c, Counter(c))
+    right = (holds(cols[g], map(itemgetter(g), map(t.__getitem__, cols[g])), cols.d)
+             for g in base.generators)
+    left = (holds(rows[g], map(t[g].__getitem__, rows[g]), rows.d) for g in base.generators)
+    return all(right) and (kind != TWO_SIDED or all(left))
 
 
 @dataclass(frozen=True)
@@ -552,10 +575,11 @@ class Congruence:
     of S (Howie, Fundamentals of Semigroup Theory, 1995, 1.5).  Left
     stability is the mirror image.  Each generator g is checked on its
     column support alone (its row support for the left side), the x with
-    x*g other than the zero of the table, every x when there is none (see
-    _Support and _translate_holds); the class sizes are counted once per
-    partition.  A Brandt column of window w has a support of w places, so
-    a branch of that carrier costs O(n + w |G|) = O(w^2) reads, not n |G|.
+    x*g other than the zero of the table, every x when there is none, and
+    each x*g there is read off row x (see _stable_on_generators); the class
+    sizes are counted once per partition.  A Brandt column of window w has
+    a support of w places, so a branch of that carrier costs
+    O(n + w |G|) = O(w^2) reads, not n |G|.
     The block-by-block scan, which names a failure, reads one row per
     member that is not its block's representative: it runs when that is no
     more rows than there are generators (the diagonal of a discrete control
@@ -581,15 +605,8 @@ class Congruence:
         # stable under g: the class of x*g (and of g*x) is a function of the
         # class of x.  The block scan below reads n - k rows, so the
         # generators go first only when they are fewer.
-        if len(gens) < n - k:
-            translates = [(self.base.columns, self.base.column_support)]
-            if self.kind == TWO_SIDED:
-                translates.append((self.base.table, self.base.row_support))
-            size = Counter(c)
-            if all(_translate_holds(c, size, lines[g], support[g],
-                                    None if support.d is None else c[support.d])
-                   for lines, support in translates for g in gens):
-                return
+        if len(gens) < n - k and _stable_on_generators(self.base, self.kind, c):
+            return
         # comparing every member against its block representative covers all
         # same-class pairs by transitivity and names the first failure
         sides = [(self.base.table, "not right-stable: ({rep},{x}) * {s}")]

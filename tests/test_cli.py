@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, determinism, formats."""
 
+import gc
 import hashlib
 import json
 import os
@@ -116,6 +117,69 @@ def test_obstruct_out_and_replay(tmp_path, capsys):
 
     assert main(["obstruct", "brandt", "-w", "5", "--replay", str(cert)]) == 1
     assert main(["obstruct", "brandt", "-w", "4", "--replay", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize("flag", [["--out", "again.json"], ["--json"]])
+def test_replay_refuses_out_and_json(tmp_path, capsys, flag):
+    """--replay prints a verdict only, so a flag asking for a document is
+    refused with one error line rather than silently dropped."""
+    cert = tmp_path / "cert.json"
+    assert main(["obstruct", "brandt", "-w", "4", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    flag = [str(tmp_path / f) if f.endswith(".json") else f for f in flag]
+    assert main(["obstruct", "brandt", "-w", "4", "--replay", str(cert), *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --replay")
+    assert not (tmp_path / "again.json").exists()
+
+
+@pytest.fixture
+def collector():
+    """The collector's state before the test, given back after it."""
+    enabled = gc.isenabled()
+    yield enabled
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_main_pauses_the_collector_during_a_command(monkeypatch, capsys, collector):
+    seen = []
+
+    def recording(inst):
+        seen.append(gc.isenabled())
+        return escape_certificate(inst)
+
+    monkeypatch.setattr("semitop.cli.escape_certificate", recording)
+    gc.enable()
+    assert main(["obstruct", "brandt", "-w", "4"]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def raising(inst):
+    raise RuntimeError("escapes main")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,outcome", [
+    (["obstruct", "brandt", "-w", "4"], 0),
+    (["obstruct", "brandt", "-w", "4", "--replay", "missing.json"], 1),
+    (["obstruct", "exB-discrete", "-w", "4"], 2),
+    (["obstruct", "exB", "-w", "4"], RuntimeError),
+    (["obstruct"], SystemExit)], ids=["exit0", "exit1", "exit2", "exception", "argparse"])
+def test_main_gives_back_the_collector_state(tmp_path, monkeypatch, capsys, collector,
+                                             enabled, argv, outcome):
+    """After every way out of main, the collector is as the caller left it:
+    on stays on, off stays off."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("semitop.cli.escape_certificate",
+                        raising if outcome is RuntimeError else escape_certificate)
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(argv)
+    assert gc.isenabled() == enabled
 
 
 @pytest.mark.parametrize("path, change", [

@@ -16,7 +16,7 @@ import gc
 import itertools
 import random
 import weakref
-from collections import Counter, deque
+from collections import deque
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 
 from oracles import growth_vectors, left_stable, right_stable
 from semitop import core
+from semitop.cli import main
 from semitop.core import (RIGHT, TWO_SIDED, Congruence, FinSemigroup, _close, _greedy_generators,
-                          _gather, _light_holds, _light_holds_at_zero, _light_holds_on, _Support,
-                          _translate_holds, _UnionFind, canonical_classes, congruence_closure,
-                          diagonal)
+                          _gather, _light_holds, _light_holds_at_zero, _light_holds_on,
+                          _stable_on_generators, _Support, _UnionFind, canonical_classes,
+                          congruence_closure, diagonal)
 from semitop.errors import DomainError, KindError, MalformedTableError
 from semitop.obstruct import escape_certificate, forcing_closure, get_instance, verify_certificate
 from semitop.semigroups import (
@@ -106,7 +107,7 @@ def magma(table, d):
     against the drawn entry d instead of the zero (None: whole rows).  Any
     entry d gives the same closure; only the scan length depends on it."""
     columns = tuple(zip(*table))
-    supports = _Support(table), _Support(columns)
+    supports = _Support(table), _Support(table, column=True)
     for support in supports:
         support.d = d
     return SimpleNamespace(n=len(table), table=table, columns=columns,
@@ -226,18 +227,6 @@ def with_support_entry(s, d):
     return SimpleNamespace(**vars(magma(s.table, d)), generators=s.generators)
 
 
-def generators_accept(s, kind, vec):
-    """The generator check of Congruence alone, without the gate that sends
-    partitions with few non-representatives to the block scan."""
-    translates = [(s.columns, s.column_support)]
-    if kind == TWO_SIDED:
-        translates.append((s.table, s.row_support))
-    size = Counter(vec)
-    return all(_translate_holds(vec, size, lines[g], support[g],
-                                None if support.d is None else vec[support.d])
-               for lines, support in translates for g in s.generators)
-
-
 def branch_partitions(inst, rng, moves):
     """The forcing closure of every admissible neighbourhood, and each of
     them with one point moved, into another class or into a class alone."""
@@ -257,8 +246,9 @@ SUPPORT_CHECK_CASES = [(f"{i}{suffix}", w) for i in CATALOG_IDS for suffix in ("
 
 @pytest.mark.parametrize("instance_id,window", SUPPORT_CHECK_CASES)
 def test_support_check_matches_the_per_block_scan_on_every_branch(instance_id, window):
-    """The generator check on column (and row) supports against the full
-    per-block scan, on every branch partition of a catalog instance and on
+    """The generator check on column (and row) supports, without the gate
+    that sends partitions with few non-representatives to the block scan,
+    against the full per-block scan, on every branch partition of a catalog instance and on
     one-point moves of each: the same accept or reject, and the same
     message.  Then the supports are taken against other entries d, every
     entry at small carriers and a drawn few above, and against None, the
@@ -272,12 +262,12 @@ def test_support_check_matches_the_per_block_scan_on_every_branch(instance_id, w
         for vec in vecs:
             want[kind, vec] = per_block_scan(s, kind, vec)
             assert rejection(s, kind, vec) == want[kind, vec], (kind, vec)
-            assert generators_accept(s, kind, vec) == (want[kind, vec] is None), (kind, vec)
+            assert _stable_on_generators(s, kind, vec) == (want[kind, vec] is None), (kind, vec)
     entries = range(s.n) if s.n <= 20 else rng.sample(range(s.n), 3)
     for d in (None, *entries):
         t = with_support_entry(s, d)
         for (kind, vec), message in want.items():
-            assert generators_accept(t, kind, vec) == (message is None), (d, kind, vec)
+            assert _stable_on_generators(t, kind, vec) == (message is None), (d, kind, vec)
             assert rejection(t, kind, vec) == message, (d, kind, vec)
 
 
@@ -328,6 +318,9 @@ class CountingRows:
         self.rows = rows
         self.reads = 0
 
+    def __len__(self):
+        return len(self.rows)
+
     def __getitem__(self, a):
         return CountingRow(self, self.rows[a])
 
@@ -345,16 +338,51 @@ class CountingRow:
 def test_generator_check_reads_only_the_column_supports(monkeypatch):
     """On a branch partition of brandt at window 16 (n = 257), right
     stability reads at most n + the total size of the generators' column
-    supports, not n per generator, and accepts without the block scan."""
+    supports from the rows, not n per generator, and accepts without the
+    block scan."""
     inst = get_instance("brandt", 16)
     s = inst.presentation.base
     vec = forcing_closure(inst.presentation, inst.limit, inst.admissible()[-1])[0]
-    Congruence(s, RIGHT, vec)  # fills the supports and d
+    Congruence(s, RIGHT, vec)
     bound = s.n + sum(len(s.column_support[g]) for g in s.generators)
-    counting = vars(s)["columns"] = CountingRows(s.columns)
+    counting = vars(s)["table"] = CountingRows(s.table)
     monkeypatch.setattr(Congruence, "blocks", None)
     Congruence(s, RIGHT, vec)
     assert 0 < counting.reads <= bound < s.n * len(s.generators) // 4
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["brandt", "-w", "24"], 0), (["luke", "-w", "24"], 0), (["brandt-discrete", "-w", "8"], 2)])
+def test_obstruct_path_builds_no_transposed_table(tmp_path, capsys, monkeypatch, argv, code):
+    """Certify, replay and NoObstruction run with every read of
+    FinSemigroup.columns, cached or not, made to fail: right stability reads
+    its products off the rows."""
+    def refuse(self):
+        raise AssertionError("transposed table")
+
+    monkeypatch.setattr(FinSemigroup, "columns", property(refuse))
+    cert = tmp_path / "cert.json"
+    assert main(["obstruct", *argv, "--out", str(cert)]) == code
+    if code == 0:
+        assert main(["obstruct", *argv, "--replay", str(cert)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def assert_column_supports_are_the_dense_ones(s):
+    """The cached column supports of s, and a fresh set read off the rows,
+    against the definition over the transposed table."""
+    n = s.n
+    zeros = two_sided_zeros(s.table)
+    d = zeros[0] if zeros else None
+    want = [[x for x, v in enumerate(col) if v != d] for col in zip(*s.table)]
+    for support in (s.column_support, _Support(s.table, column=True)):
+        assert support.d == d
+        assert [list(support[c]) for c in range(n)] == want
+
+
+@pytest.mark.parametrize("instance_id,window", SUPPORT_CHECK_CASES)
+def test_column_supports_of_the_catalog_carriers(instance_id, window):
+    assert_column_supports_are_the_dense_ones(get_instance(instance_id, window).presentation.base)
 
 
 @pytest.mark.parametrize("kind", [RIGHT, TWO_SIDED])
@@ -390,14 +418,14 @@ def test_symmetric_group_composes_p_then_q(n):
 
 
 def test_no_cache_outlives_its_semigroup():
-    """The supports, columns and generators are cached on the semigroup, so
-    dropping the semigroup frees them."""
+    """The supports and generators are cached on the semigroup, so dropping
+    the semigroup frees them; certify and replay build no columns."""
     inst = get_instance("brandt", 8)
     cert = escape_certificate(inst)
     assert verify_certificate(inst, cert) == (True, None)
     ref = weakref.ref(inst.presentation.base)
-    assert ref().row_support  # the search filled the supports
-    assert ref().column_support  # and the verifier the column supports
+    assert ref().row_support and ref().column_support  # seeded when the carrier was built
+    assert "columns" not in vars(ref())  # the verifier reads the rows
     del inst
     gc.collect()
     assert ref() is None
@@ -417,7 +445,7 @@ def brandt_by_product_rule(w):
 def test_brandt_table_matches_its_product_rule(w):
     """The carrier built from its supports against the dense definition:
     the same table, labels and generators (2w - 1 of them), and the seeded
-    row supports are the ones read off the table."""
+    row and column supports are the ones read off the table."""
     s = brandt_semigroup(w)
     table = brandt_by_product_rule(w)
     assert s.table == table
@@ -428,6 +456,7 @@ def test_brandt_table_matches_its_product_rule(w):
         want = _Support(table)
         assert s.row_support.d == want.d == w * w
         assert all(list(s.row_support[a]) == want[a] for a in range(s.n))
+    assert_column_supports_are_the_dense_ones(s)
 
 
 def test_brandt_builds_and_searches_without_a_dense_pass(monkeypatch):
