@@ -8,7 +8,7 @@ Exit codes: 0 when the run produced a certificate or a true verdict, 2 for
 NoObstruction or a false verdict, 1 for malformed input or a failed
 verification.  JSON output is byte-deterministic: sorted keys, compact
 separators, one line plus a newline (``python -m json.tool`` re-indents
-it).  ANSI color on the human output is opt-in via SEMITOP_COLOR.
+it).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import functools
 import gc
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from .embed import (
     shared_image_laws,
     wagner_preston,
 )
-from .errors import LoadError, SemitopError
+from .errors import DomainError, LoadError, SemitopError, TheoremViolationError
 from .obstruct import (
     NoObstruction,
     catalog,
@@ -73,18 +72,10 @@ from .topo import (
 )
 from .transforms import Transformation
 
-GREEN, RED, CYAN = "32", "31", "36"
-
 CHECK_KINDS = ("assoc", "inverse", "clifford", "vp", "ditop", "weak-ditop",
                "u", "u2", "chain-finite", "cong-basis")
 EMBED_KINDS = ("cayley", "wp", "product", "adjoin", "embcl",
                "clifford-product", "group-restrict")
-
-
-def _paint(text, code):
-    if os.environ.get("SEMITOP_COLOR", "").lower() in {"1", "true", "yes", "on", "always"}:
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
 
 
 def _emit_json(doc, out=None):
@@ -131,7 +122,7 @@ def cmd_catalog(args) -> int:
     for inst in instances:
         pres = inst.presentation
         fam = inst.admissible()
-        lines.append(f"  {_paint(inst.instance_id, CYAN):<28} carrier {pres.base.n:>3}  "
+        lines.append(f"  {inst.instance_id:<28} carrier {pres.base.n:>3}  "
                      f"limit {pres.base.label(inst.limit):<4} "
                      f"{len(fam)} admissible neighborhood{'s' if len(fam) != 1 else ''}")
         for tgt in inst.targets:
@@ -157,27 +148,23 @@ def _transcript(inst, cert) -> list[str]:
             lines.append(f"    ... {len(br.chain) - len(shown)} more forcing steps")
         tgt = inst.targets[br.target_index]
         lines.append(f"    fired: {tgt.description}  [witness {sem.label(br.witness)}]")
-    lines.append(_paint("verified: chain replay reproduces every branch partition", GREEN))
+    lines.append("verified: chain replay reproduces every branch partition")
     return lines
 
 
 def cmd_obstruct(args) -> int:
     if args.replay and (args.out or args.json):
-        print("error: --replay prints a verdict line only; it takes neither --out nor --json",
-              file=sys.stderr)
-        return 1
+        raise DomainError("--replay prints a verdict line only; it takes neither --out nor --json")
     inst = get_instance(args.instance, window=args.window)
     if args.replay:
         cert = certificate_from_doc(_load_json(args.replay))
         if isinstance(cert, NoObstruction):
-            print("replay target is a NoObstruction report; nothing to verify")
+            _emit(args, None, ["replay target is a NoObstruction report; nothing to verify"])
             return 1
         ok, why = verify_certificate(inst, cert)
-        if ok:
-            print(_paint(f"certificate for {inst.instance_id} verified", GREEN))
-            return 0
-        print(_paint(f"certificate rejected: {why}", RED))
-        return 1
+        _emit(args, None, [f"certificate for {inst.instance_id} verified" if ok
+                           else f"certificate rejected: {why}"])
+        return 0 if ok else 1
     result = escape_certificate(inst)
     if isinstance(result, NoObstruction):
         sem = inst.presentation.base
@@ -187,8 +174,7 @@ def cmd_obstruct(args) -> int:
         return 2
     ok, why = verify_certificate(inst, result)
     if not ok:
-        print(f"error: generated certificate failed replay: {why}", file=sys.stderr)
-        return 1
+        raise TheoremViolationError(f"generated certificate failed replay: {why}")
     _emit(args, certificate_doc(result), _transcript(inst, result))
     return 0
 
@@ -309,8 +295,7 @@ def cmd_check(args) -> int:
                                  f"= ({sem.label(da)}, {sem.label(db)})")
 
     report["verdict"] = ok
-    verdict = _paint("PASS", GREEN) if ok else _paint("FAIL", RED)
-    _emit(args, report, [f"{kind}: {verdict}"] + ["  " + line for line in lines])
+    _emit(args, report, [f"{kind}: {'PASS' if ok else 'FAIL'}"] + ["  " + line for line in lines])
     return 0 if ok else 2
 
 
@@ -385,7 +370,7 @@ def cmd_embed(args) -> int:
         summary = {"representation": representation_doc(rep), "homomorphism": rep.verification}
         out.update(summary if key is None else {key: summary})
 
-    status = _paint("FAIL", RED) if failed else _paint("OK", GREEN)
+    status = "FAIL" if failed else "OK"
     _emit(args, out, [f"embed {kind}: {status}"] + ["  " + line for line in lines])
     return 1 if failed else 0
 

@@ -28,8 +28,8 @@ class Transformation:
         if len(self.map) != self.window:
             raise DomainError(f"map of length {len(self.map)} on window {self.window}")
         for x, v in enumerate(self.map):
-            if not 0 <= v < self.window:
-                raise DomainError(f"value {v} at {x} outside window {self.window}")
+            if type(v) is not int or not 0 <= v < self.window:
+                raise DomainError(f"value {v!r} at {x} outside window {self.window}")
 
     def __call__(self, x):
         return self.map[x]
@@ -50,8 +50,8 @@ class PartialPerm:
         for x, v in enumerate(self.map):
             if v is None:
                 continue
-            if not 0 <= v < self.window:
-                raise DomainError(f"value {v} at {x} outside window {self.window}")
+            if type(v) is not int or not 0 <= v < self.window:
+                raise DomainError(f"value {v!r} at {x} outside window {self.window}")
             if v in seen:
                 raise DomainError(f"not injective: value {v} repeats")
             seen.add(v)

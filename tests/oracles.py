@@ -8,6 +8,7 @@ data access (tables, open-set families, labels) and the point values of
 lazy maps.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from semitop.errors import EvaluationError
@@ -340,6 +341,34 @@ def derivation_replays(table, seeds, steps, x, z):
             return False
         parent[find(da)] = find(db)
     return find(x) == find(z)
+
+
+# -- every small input ---------------------------------------------------------
+
+
+def associative_tables(n):
+    """Every associative table on [0, n), as a tuple of rows: all n^(n*n)
+    tables, kept when the triple loop passes.  Labelled, so isomorphic
+    copies each count: 1, 8 and 113 for n = 1, 2, 3 (OEIS A023814)."""
+    for cells in itertools.product(range(n), repeat=n * n):
+        table = tuple(cells[i:i + n] for i in range(0, n * n, n))
+        if assoc_by_triple_loop(table):
+            yield table
+
+
+def topologies(n):
+    """Every topology on [0, n) as a frozenset of open masks: each family of
+    subsets that holds the empty set and the carrier, kept when it is closed
+    under union and intersection.  1, 4 and 29 for n = 1, 2, 3 (OEIS
+    A000798)."""
+    full = (1 << n) - 1
+    middle = range(1, full)
+    out = []
+    for pick in range(1 << len(middle)):
+        opens = {0, full} | {m for i, m in enumerate(middle) if (pick >> i) & 1}
+        if all(a | b in opens and a & b in opens for a in opens for b in opens):
+            out.append(frozenset(opens))
+    return out
 
 
 # -- separating atoms of an embedding ------------------------------------------

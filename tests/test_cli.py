@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: exit codes, determinism, formats."""
 
+import ast
 import gc
 import hashlib
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import semitop
+from semitop import cli
 from semitop.cli import EMBED_KINDS, main
 from semitop.core import Congruence, FinSemigroup, inverse_structure, semigroup_doc
 from semitop.semigroups import (
@@ -41,11 +43,6 @@ def bundle_file(tmp_path, s, top, name="bundle.json", **extra):
     doc = {"semigroup": semigroup_doc(s), "topology": top_spec_doc(top)}
     doc.update(extra)
     return write(tmp_path, name, doc)
-
-
-@pytest.fixture(autouse=True)
-def plain_output(monkeypatch):
-    monkeypatch.delenv("SEMITOP_COLOR", raising=False)
 
 
 def test_catalog_table_and_json(capsys):
@@ -117,6 +114,26 @@ def test_obstruct_out_and_replay(tmp_path, capsys):
 
     assert main(["obstruct", "brandt", "-w", "5", "--replay", str(cert)]) == 1
     assert main(["obstruct", "brandt", "-w", "4", "--replay", str(tmp_path / "nope.json")]) == 1
+
+
+def test_replay_lines_and_the_self_check_error(tmp_path, capsys, monkeypatch):
+    """The replay verdicts are stdout lines through the one output rule; a
+    certificate that fails its own replay is one error line from main."""
+    cert, none = tmp_path / "cert.json", tmp_path / "none.json"
+    assert main(["obstruct", "brandt", "-w", "4", "--out", str(cert)]) == 0
+    assert main(["obstruct", "brandt-discrete", "-w", "4", "--out", str(none)]) == 2
+    capsys.readouterr()
+    assert main(["obstruct", "brandt", "-w", "4", "--replay", str(cert)]) == 0
+    assert capsys.readouterr() == ("certificate for brandt verified\n", "")
+    assert main(["obstruct", "brandt", "-w", "4", "--replay", str(none)]) == 1
+    assert capsys.readouterr() == (
+        "replay target is a NoObstruction report; nothing to verify\n", "")
+    monkeypatch.setattr("semitop.cli.verify_certificate", lambda inst, cert: (False, "why"))
+    assert main(["obstruct", "brandt", "-w", "4", "--replay", str(cert)]) == 1
+    assert capsys.readouterr() == ("certificate rejected: why\n", "")
+    assert main(["obstruct", "brandt", "-w", "4", "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr() == ("", "error: generated certificate failed replay: why\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("flag", [["--out", "again.json"], ["--json"]])
@@ -524,13 +541,58 @@ def test_embed_report_holds_only_what_its_kind_decides(tmp_path, capsys, kind):
         assert set(report["with_identity"]) == set(report["with_zero"]) == summary
 
 
-def test_color_toggle(capsys, monkeypatch):
+def test_semitop_color_changes_no_byte(tmp_path, capsys, monkeypatch):
+    """The program reads no environment variable: the colour switch of
+    earlier versions is gone, and setting it leaves every line as it was."""
+    cert = tmp_path / "cert.json"
+    assert main(["obstruct", "brandt", "-w", "4", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    f = sem_file(tmp_path, cyclic_group(2))
+    runs = [["catalog", "-w", "4"], ["obstruct", "exB", "-w", "4"],
+            ["obstruct", "brandt", "-w", "4", "--replay", str(cert)],
+            ["check", "inverse", f], ["embed", "cayley", f]]
+
+    def outputs():
+        return [(main(argv), capsys.readouterr()) for argv in runs]
+
+    monkeypatch.delenv("SEMITOP_COLOR", raising=False)
+    plain = outputs()
     monkeypatch.setenv("SEMITOP_COLOR", "1")
-    main(["obstruct", "exB", "-w", "4"])
-    assert "\x1b[32m" in capsys.readouterr().out
-    monkeypatch.setenv("SEMITOP_COLOR", "off")
-    main(["obstruct", "exB", "-w", "4"])
-    assert "\x1b[" not in capsys.readouterr().out
+    assert outputs() == plain
+    assert all(code == 0 and "\x1b" not in out for code, (out, _) in plain)
+
+
+def _owners(tree):
+    """(name of the enclosing top-level function or None, node) for every
+    node of a module."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            yield owner, node
+
+
+def test_cli_has_one_stdout_writer_and_one_error_printer():
+    """Every human line goes through _emit and every error line is printed
+    by main from a raised SemitopError, so cli.py has two print calls."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    prints = [owner for owner, node in _owners(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    stderr = [owner for owner, node in _owners(tree) if isinstance(node, ast.Attribute)
+              and node.attr == "stderr" and isinstance(node.value, ast.Name)
+              and node.value.id == "sys"]
+    assert sorted(prints) == ["_emit", "main"]
+    assert stderr == ["main"]
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     and node.module == "os" else [])
+            reads += [(path.name, name) for name in names if name in {"environ", "getenv"}]
+    assert reads == []
 
 
 def test_text_and_json_verdicts_agree(tmp_path, capsys):

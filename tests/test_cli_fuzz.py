@@ -82,8 +82,7 @@ def mutate(rng, doc):
         node[slot] = rng.choice([-1, past, True, False, None, "x", 1.5, 2**70, [0], {"n": 1}])
 
 
-def test_mutated_check_and_embed_inputs_keep_the_exit_contract(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SEMITOP_COLOR", raising=False)
+def test_mutated_check_and_embed_inputs_keep_the_exit_contract(tmp_path, capsys):
     rng = random.Random(SEED)
     jobs = seed_jobs()
     path = tmp_path / "fuzz.json"

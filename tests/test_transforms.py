@@ -102,6 +102,13 @@ def test_invert_examples_and_sandwich():
     (PartialPerm, 2, (1, 1), "not injective: value 1 repeats"),
     (PartialPerm, 3, (0, 0, 5), "not injective: value 0 repeats"),
     (PartialPerm, 3, (5, 0, 0), "value 5 at 0 outside window 3"),
+    # a value must be an int: a float or bool compares in range but is no point
+    (Transformation, 2, (0, 1.0), "value 1.0 at 1 outside window 2"),
+    (Transformation, 2, (0, True), "value True at 1 outside window 2"),
+    (Transformation, 2, ("0", 1), "value '0' at 0 outside window 2"),
+    (PartialPerm, 2, (None, 1.0), "value 1.0 at 1 outside window 2"),
+    (PartialPerm, 2, (False, None), "value False at 0 outside window 2"),
+    (PartialPerm, 2, (None, "1"), "value '1' at 1 outside window 2"),
 ])
 def test_bad_maps_name_their_first_bad_point(cls, window, values, message):
     """A bad map is refused with the first bad point, read left to right."""
