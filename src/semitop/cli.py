@@ -5,10 +5,10 @@ runs the forcing argument and emits a certificate, ``check`` runs a named
 predicate over a JSON input, ``embed`` builds and checks a representation.
 
 Exit codes: 0 when the run produced a certificate or a true verdict, 2 for
-NoObstruction or a false verdict, 1 for malformed input or a failed
-verification.  JSON output is byte-deterministic: sorted keys, compact
-separators, one line plus a newline (``python -m json.tool`` re-indents
-it).
+NoObstruction or a false verdict, 1 for a usage error, malformed input or
+a failed verification.  JSON output is byte-deterministic: sorted keys,
+compact separators, one line plus a newline (``python -m json.tool``
+re-indents it).
 """
 
 from __future__ import annotations
@@ -377,10 +377,22 @@ def cmd_embed(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+def _usage_error(parser, message):
+    """ArgumentParser.error for the program's parsers: a usage error raises,
+    so main prints it as one error: line and exits 1.  -h still prints the
+    usage and exits 0."""
+    raise DomainError(f"{parser.prog}: {message}")
+
+
+class _Parser(argparse.ArgumentParser):
+    # add_subparsers makes the subcommands' parsers of this class too
+    error = _usage_error
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built once per process; parse_args keeps no state between calls
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="semitop",
         description="finite windows of topological-semigroup embedding arguments")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -432,8 +444,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(sys.stdout, "reconfigure"):  # a label the locale cannot encode is escaped
             sys.stdout.reconfigure(errors="backslashreplace")
-        args = _parser().parse_args(argv)
         try:
+            args = _parser().parse_args(argv)
             return args.func(args)
         except (SemitopError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

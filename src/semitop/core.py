@@ -6,10 +6,10 @@ a*b (row = left factor).  A monoid identity is declared data, never inferred.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, lt, ne
 
 from .errors import (
@@ -671,19 +671,21 @@ def _close(s: FinSemigroup, seeds, kind):
     """Worklist closure engine: (class vector, chain) of the smallest
     congruence of the given kind containing the seed pairs, not re-checked.
 
-    Merging (a, b) enqueues (a*m, b*m) for every multiplier m in ascending
+    Merging (a, b) derives (a*m, b*m) for every multiplier m in ascending
     order (then (m*a, m*b) for the two-sided kind).  Each chain step is
     ((a, b), multiplier, (a*m, b*m)), recorded at the moment the derived pair
     still joins two distinct classes, judged by the labels right after the
     union of (a, b); replaying the steps in order rebuilds the same
-    partition.
+    partition.  The worklist is the seeds, then the chain's derived pairs.
 
     Only the multipliers in E[a] | E[b] are read, where E[x] is the support
     of row x: the positions where it differs from the zero d of the table
     (s.row_support; s.column_support, whose zero is the same, for the left
     side), the whole row when there is no zero.  Any m outside both has
     a*m == d == b*m, a pair that joins nothing, so the scan finds the same
-    multipliers in the same order.  A Brandt row of window w has a support
+    multipliers in the same order.  Supports are ascending, so when one is
+    empty (a forcing closure always joins the zero, whose row is empty) the
+    other is read as it stands.  A Brandt row of window w has a support
     of w out of w*w + 1 places, so a union costs O(w) instead of O(w^2).
     """
     if kind not in (RIGHT, TWO_SIDED):
@@ -694,27 +696,25 @@ def _close(s: FinSemigroup, seeds, kind):
         sides.append((s.columns, s.column_support))
     uf = _UnionFind(n)
     label = uf.label
-    chain = []
-    work = deque()
+    pairs = []
     for a, b in seeds:
-        if not (0 <= a < n and 0 <= b < n):
-            raise DomainError(f"seed pair ({a}, {b}) out of range")
-        work.append((a, b))
-    while work:
-        a, b = work.popleft()
+        if not (type(a) is type(b) is int and 0 <= a < n and 0 <= b < n):
+            raise DomainError(f"seed pair ({a!r}, {b!r}) out of range")
+        pairs.append((a, b))
+    steps = []
+    for a, b in chain(pairs, map(itemgetter(2), steps)):
         if label[a] == label[b]:
             continue
         uf.union(a, b)
         merged = (a, b)
         for rows, support in sides:
             ra, rb = rows[a], rows[b]
-            for m in sorted({*support[a], *support[b]}):
+            sa, sb = support[a], support[b]
+            for m in sorted({*sa, *sb}) if sa and sb else sa or sb:
                 x, y = ra[m], rb[m]
                 if label[x] != label[y]:
-                    derived = (x, y)
-                    work.append(derived)
-                    chain.append((merged, m, derived))
-    return canonical_classes(label), tuple(chain)
+                    steps.append((merged, m, (x, y)))
+    return canonical_classes(label), tuple(steps)
 
 
 def _derivation(n, seeds, chain, x, z):

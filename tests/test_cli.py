@@ -151,6 +151,27 @@ def test_replay_refuses_out_and_json(tmp_path, capsys, flag):
     assert not (tmp_path / "again.json").exists()
 
 
+@pytest.mark.parametrize("argv, prog", [
+    (["obstruct"], "semitop obstruct"),
+    (["check", "nosuch", "x.json"], "semitop check"),
+    (["obstruct", "brandt", "-w", "abc"], "semitop obstruct"),
+], ids=["no-instance", "unknown-kind", "window-not-int"])
+def test_usage_error_is_one_error_line(capsys, argv, prog):
+    """A bad command line is an error like any other: one line and exit 1,
+    not argparse's usage block and exit 2, the code of a false verdict."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {prog}: ")
+
+
+def test_help_still_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruct", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: semitop obstruct")
+
+
 @pytest.fixture
 def collector():
     """The collector's state before the test, given back after it."""
@@ -182,7 +203,7 @@ def raising(inst):
     (["obstruct", "brandt", "-w", "4", "--replay", "missing.json"], 1),
     (["obstruct", "exB-discrete", "-w", "4"], 2),
     (["obstruct", "exB", "-w", "4"], RuntimeError),
-    (["obstruct"], SystemExit)], ids=["exit0", "exit1", "exit2", "exception", "argparse"])
+    (["obstruct", "--help"], SystemExit)], ids=["exit0", "exit1", "exit2", "exception", "argparse"])
 def test_main_gives_back_the_collector_state(tmp_path, monkeypatch, capsys, collector,
                                              enabled, argv, outcome):
     """After every way out of main, the collector is as the caller left it:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from functools import partial
 
 import pytest
 
@@ -245,6 +246,19 @@ def test_closure_chain_hand_worklist():
 def test_closure_z2_universal():
     rho = congruence_closure(cyclic_group(2), [(0, 1)], RIGHT)
     assert rho == universal(cyclic_group(2))
+
+
+@pytest.mark.parametrize("bad", [True, 0.0, "0", 3], ids=["bool", "float", "str", "int-3"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_closure_refuses_a_seed_that_is_not_an_element(bad, first):
+    """A bool is not taken for the int it subclasses, and a float or a str
+    is refused like an index out of range, not by a bare TypeError."""
+    s = cyclic_group(3)
+    pair = (bad, 1) if first else (1, bad)
+    for close in (partial(_close, s, [pair], RIGHT), partial(congruence_closure, s, [pair])):
+        with pytest.raises(DomainError) as exc:
+            close()
+        assert str(exc.value) == f"seed pair ({pair[0]!r}, {pair[1]!r}) out of range"
 
 
 def test_closure_records_replayable_chain():

@@ -141,6 +141,41 @@ def test_close_matches_the_multiplier_loop_on_drawn_tables(case):
     assert kind == TWO_SIDED or chain == want_chain
 
 
+# rows 0 and 3 are all d = 0, so their supports are empty; rows 1 and 2
+# overlap at 3, rows 1 and 4 at 1
+SCAN_TABLE = (
+    (0, 0, 0, 0, 0),
+    (0, 2, 0, 3, 0),
+    (0, 0, 4, 3, 0),
+    (0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 2),
+)
+
+
+@pytest.mark.parametrize("seeds", [
+    [(0, 1)],
+    [(1, 0)],
+    [(0, 3)],
+    [(1, 2)],
+    [(1, 2), (4, 1)],
+    [(1, 2), (1, 2)],
+    [(0, 1), (1, 3), (0, 3)],
+], ids=["only-a-empty", "only-b-empty", "both-empty", "overlapping", "two-overlaps",
+        "seed-repeated", "seed-already-merged"])
+@pytest.mark.parametrize("kind", [RIGHT, TWO_SIDED])
+def test_close_scans_every_support_case_like_the_multiplier_loop(seeds, kind):
+    """One empty support is scanned as it stands, two are merged and
+    sorted: the same chain as the loop over every multiplier, from a list
+    of seeds or a generator of them."""
+    s = magma(SCAN_TABLE, 0)
+    assert [list(s.row_support[x]) for x in range(5)] == [[], [1, 3], [2, 3], [], [1, 4]]
+    classes, chain = _close(s, seeds, kind)
+    want_classes, want_chain = close_by_multiplier_loop(SCAN_TABLE, seeds, kind)
+    assert classes == want_classes
+    assert kind == TWO_SIDED or chain == want_chain
+    assert _close(s, (pair for pair in seeds), kind) == (classes, chain)
+
+
 def null_semigroup(n):
     """Every product is 0."""
     return FinSemigroup(tuple((0,) * n for _ in range(n)), name=f"null{n}")
