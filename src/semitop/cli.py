@@ -250,10 +250,7 @@ def cmd_check(args) -> int:
             checker = ditopological_check if kind == "ditop" else weakly_ditopological_check
             rep = checker(ts)
             ok = rep.ok
-            report["inversion_continuous"] = rep.inversion_ok
             report["failure"] = list(rep.failure) if rep.failure else None
-            if not rep.inversion_ok:
-                lines.append(f"inversion discontinuous at {rep.inversion_witness}")
             if rep.failure:
                 x, s = rep.failure
                 lines.append(f"factorized set at {sem.label(x)} catches {sem.label(s)} "
@@ -261,16 +258,11 @@ def cmd_check(args) -> int:
         elif kind in ("u", "u2"):
             ts = _need_topology(sem, top)
             checker = u_check if kind == "u" else u2_check
-            ok = True
-            for x in range(sem.n):
-                good, wit = checker(ts, x)
-                if not good:
-                    ok = False
-                    report["failure"] = x
-                    lines.append(f"fails at {sem.label(x)}")
-                    break
-            else:
-                report["failure"] = None
+            x = next((x for x in range(sem.n) if not checker(ts, x)[0]), None)
+            ok = x is None
+            report["failure"] = x
+            if not ok:
+                lines.append(f"fails at {sem.label(x)}")
         elif kind == "chain-finite":
             ok, chain = chain_finite_check(sem)
             report["longest_chain"] = list(chain)

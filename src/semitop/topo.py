@@ -9,6 +9,8 @@ corresponding statement about the infinite space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .core import (
     RIGHT,
@@ -275,15 +277,14 @@ def inversion_continuity_check(ts: TopSemigroup, inv) -> tuple[bool, tuple | Non
 @dataclass(frozen=True)
 class DitopReport:
     ok: bool
-    inversion_ok: bool
-    inversion_witness: tuple | None
     failure: tuple | None  # (x, escaping element), least such
 
 
 def _ditop_core(ts: TopSemigroup, weak: bool) -> DitopReport:
+    """The factorization property alone: inversion is continuous in every
+    finite topological inverse semigroup (README, Scope), so not checked."""
     t = ts.sem.table
     inv = _require_inverse(ts.sem, "the weak ditopological check" if weak else "the ditopological check")
-    inv_ok, inv_wit = inversion_continuity_check(ts, inv)
     nb = ts.top.nbhds
     emask = mask_of(inv.idempotents)
     # The displayed set grows with U and W (and with V), while the target O
@@ -296,15 +297,16 @@ def _ditop_core(ts: TopSemigroup, weak: bool) -> DitopReport:
             if not (w >> inv.dom[cand]) & 1 or weak and not (v >> inv.ran[cand]) & 1:
                 continue
             if not (o >> cand) & 1 and any((u >> t[e][cand]) & 1 for e in points_of(w & emask)):
-                return DitopReport(False, inv_ok, inv_wit, (x, cand))
-    return DitopReport(inv_ok, inv_ok, inv_wit, None)
+                return DitopReport(False, (x, cand))
+    return DitopReport(True, None)
 
 
 def ditopological_check(ts: TopSemigroup) -> DitopReport:
     """Neighborhood-factorization property of inverse topological semigroups:
     every x and open O around it admit opens U around x and W around x*x^-1
     with {s : s*s^-1 in W, some e in W meets E(S) with e*s in U} inside O.
-    Requires continuous inversion."""
+    The definition also asks for continuous inversion, which every finite
+    topological inverse semigroup has (see _ditop_core)."""
     return _ditop_core(ts, weak=False)
 
 
@@ -322,34 +324,36 @@ def enumerate_clopen_ideals(ts: TopSemigroup) -> tuple[int, ...]:
                  and not any(below[x] & ~m for x in points_of(m)))
 
 
+def _least_near(ts: TopSemigroup, x, prop) -> tuple[int, int]:
+    """(N_x, the product y of N_x) at a point x of a topological semilattice.
+    Continuity at (x, x) puts N_x*N_x inside N_x, so y is in N_x and is its
+    least element: N_x lies in the upper cone of y, and of no higher point."""
+    if not is_semilattice(ts.sem):
+        raise DomainError(f"{prop} property is defined for semilattices")
+    if type(x) is not int or not 0 <= x < ts.sem.n:
+        raise DomainError(f"point {x!r} is not an element of the carrier")
+    nx = ts.top.nbhds[x]
+    return nx, reduce(ts.sem.mul, points_of(nx))
+
+
 def u_check(ts: TopSemigroup, x) -> tuple[bool, tuple | None]:
     """Local upper-cone witness at x: some y near x whose upper cone contains
-    a whole neighborhood of x.  Checking the minimal neighborhood of x as
-    both the ambient open and the witness neighborhood suffices: the ambient
-    open only constrains where y may come from, and smaller is harder."""
-    if not is_semilattice(ts.sem):
-        raise DomainError("U property is defined for semilattices")
-    nx = ts.top.nbhds[x]
-    for y in points_of(nx):
-        if nx & ~up_set(ts.sem, y) == 0:
-            return True, (y, nx)
-    return False, None
+    a whole neighborhood of x.  It always holds, with the witness (the least
+    element y of N_x, N_x)."""
+    nx, y = _least_near(ts, x, "U")
+    return True, (y, nx)
 
 
 def u2_check(ts: TopSemigroup, x) -> tuple[bool, tuple | None]:
     """Clopen-ideal variant: some y near x and clopen ideal I avoiding x with
-    everything outside I above y."""
-    if not is_semilattice(ts.sem):
-        raise DomainError("U2 property is defined for semilattices")
-    full = (1 << ts.sem.n) - 1
-    nx = ts.top.nbhds[x]
-    ideals = enumerate_clopen_ideals(ts)
-    for y in points_of(nx):
-        cone = up_set(ts.sem, y)
-        for ideal in ideals:
-            if not (ideal >> x) & 1 and (full ^ ideal) & ~cone == 0:
-                return True, (y, ideal)
-    return False, None
+    everything outside I above y.  The least y of N_x and the largest such
+    I decide it: I_x, the union of the clopen ideals avoiding x, is one
+    (clopen sets and ideals are closed under union).  Witness (y, I_x)."""
+    _, y = _least_near(ts, x, "U2")
+    ideal = reduce(or_, (m for m in enumerate_clopen_ideals(ts) if not (m >> x) & 1), 0)
+    if ((1 << ts.sem.n) - 1) & ~ideal & ~up_set(ts.sem, y):
+        return False, None
+    return True, (y, ideal)
 
 
 def cb_derivative(spec: TopSpec, subset: int) -> int:

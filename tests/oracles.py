@@ -212,6 +212,30 @@ def u2_at_point_by_replay(table, opens, x):
     return True
 
 
+def u_witness_by_product(table, opens, x):
+    """U's witness at x on a topological semilattice: (y, N_x), where y is
+    the product of every point of the minimal neighbourhood N_x."""
+    nx = min_nbhd_mask(opens, len(table), x)
+    first, *rest = bits(nx)
+    y = first
+    for z in rest:
+        y = table[y][z]
+    return y, nx
+
+
+def u2_by_one_pair(table, opens, x):
+    """U2 at x decided by the one pair (y, I_x): y from u_witness_by_product
+    and I_x the union of the clopen ideals that avoid x.  (True, (y, I_x))
+    when everything outside I_x lies above y, else (False, None)."""
+    y, _ = u_witness_by_product(table, opens, x)
+    ideal = 0
+    for m in clopen_ideals_by_filter(table, opens):
+        if not (m >> x) & 1:
+            ideal |= m
+    outside = set(range(len(table))) - set(bits(ideal))
+    return (True, (y, ideal)) if outside <= upper_cone(table, y) else (False, None)
+
+
 def idempotent_mask(table):
     return sum(1 << e for e in range(len(table)) if table[e][e] == e)
 
@@ -246,6 +270,69 @@ def inversion_continuous_by_replay(table, inv, opens):
             if not inv_ok:
                 return False
     return True
+
+
+def power(table, x, k):
+    """x^k for k >= 1."""
+    out = x
+    for _ in range(k - 1):
+        out = table[out][x]
+    return out
+
+
+def idempotent_exponent(table):
+    """The least N >= n with x^N idempotent for every x."""
+    n = len(table)
+    return next(k for k in itertools.count(n)
+                if all(table[p][p] == p for p in (power(table, x, k) for x in range(n))))
+
+
+def inversion_proof_replays(table, inv):
+    """Replay README's proof that a -> c gives a^-1 -> c^-1 in every compatible
+    preorder of an inverse semigroup, for every pair (a, c): a chain of
+    one-step rewrites s*a*t -> s*c*t from a^-1 that ends at c^-1.  Each
+    rewrite checks that the current term is s*a*t, and the identities of
+    steps 2 and 3 are checked in between.  Returns the number of rewrites."""
+    def mul(*xs):
+        out = xs[0]
+        for y in xs[1:]:
+            out = table[out][y]
+        return out
+
+    def rewrite(term, a, c, s, t):
+        assert mul(s, a, t) == term, (a, c, term, s, t)
+        return mul(s, c, t)
+
+    big_n = idempotent_exponent(table)
+    rewrites = 0
+    for a in range(len(table)):
+        for c in range(len(table)):
+            a_inv, c_inv = inv[a], inv[c]
+            u = mul(a_inv, c)
+            # step 1: u^k*a^-1 = (u^k*a^-1)*a*a^-1 -> u^k*a^-1*c*a^-1 = u^(k+1)*a^-1
+            term = a_inv
+            for _ in range(2 * big_n - 1):
+                want = mul(u, term)
+                term = rewrite(term, a, c, term, a_inv)
+                assert term == want
+            # step 2: u^(2N-1) and (u^-1)^(N+1) are both the inverse of u^(N+1)
+            v, w = power(table, u, big_n + 1), power(table, u, 2 * big_n - 1)
+            assert mul(v, w, v) == v and mul(w, v, w) == w and inv[v] == w
+            assert inv[u] == mul(c_inv, a) and w == power(table, inv[u], big_n + 1)
+            # step 3: (c^-1*a)^(N+1)*a^-1 = c^-1*p*a*a^-1 = c^-1*p, p = (a*c^-1)^N
+            p = power(table, mul(a, c_inv), big_n)
+            assert table[p][p] == p and mul(a, a_inv, p) == p and mul(p, a, a_inv) == p
+            assert term == mul(c_inv, p, a, a_inv) == mul(c_inv, p)
+            # step 4: c^-1*(a*c^-1)^(k+1) = c^-1*a*t -> c^-1*c*t = t with
+            # t = c^-1*(a*c^-1)^k, so N rewrites turn p into (c*c^-1)^N
+            tails = [c_inv]
+            for _ in range(big_n - 1):
+                tails.append(mul(c_inv, a, tails[-1]))
+            for t in reversed(tails):
+                term = rewrite(term, a, c, c_inv, t)
+            assert term == c_inv, (a, c)
+            rewrites += 3 * big_n - 1
+    return rewrites
 
 
 def ditop_by_replay(table, inv, opens, weak=False):

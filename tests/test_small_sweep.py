@@ -17,11 +17,14 @@ from oracles import (
     first_discontinuity_by_four_loops,
     inverses_by_search,
     inversion_continuous_by_replay,
+    inversion_proof_replays,
     min_nbhd_mask,
     open_class_seeds,
     topologies,
     u2_at_point_by_replay,
+    u2_by_one_pair,
     u_at_point_by_replay,
+    u_witness_by_product,
 )
 from semitop.core import FinSemigroup, clifford_check, inverse_structure
 from semitop.topo import (
@@ -109,6 +112,27 @@ def test_u_and_u2_match_their_replays_at_every_point_of_every_semilattice():
     assert points == 521
 
 
+def test_u_and_u2_witnesses_are_their_closed_forms_at_every_semilattice_point():
+    points = fails = 0
+    for table, opens, _, _, ts in pairs():
+        if ts is None or not is_semilattice(table):
+            continue
+        for x in range(len(table)):
+            assert u_check(ts, x) == (True, u_witness_by_product(table, opens, x))
+            got = u2_check(ts, x)
+            assert got == u2_by_one_pair(table, opens, x), (table, opens, x)
+            points += 1
+            fails += not got[0]
+    assert (points, fails) == (521, 110)
+
+
+def test_the_proof_that_inversion_is_continuous_replays_on_every_inverse_table():
+    tables = [t for n in ORDERS for t in associative_tables(n) if inverse_of(t) is not None]
+    for table in tables:
+        assert inversion_proof_replays(table, inverse_of(table)) > 0
+    assert len(tables) == 29
+
+
 def test_ditop_and_inversion_checks_match_their_replays_on_every_inverse_semigroup():
     seen = 0
     for table, opens, _, _, ts in pairs():
@@ -120,7 +144,7 @@ def test_ditop_and_inversion_checks_match_their_replays_on_every_inverse_semigro
         for weak, rep in ((False, ditopological_check(ts)),
                           (True, weakly_ditopological_check(ts))):
             assert rep.ok == ditop_by_replay(table, inv, opens, weak=weak), (table, opens, weak)
-            assert rep.inversion_ok == inv_ok
+            assert inv_ok and rep.ok == (rep.failure is None), (table, opens)
         seen += 1
     assert seen == 277
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -19,11 +20,15 @@ from oracles import (
     indiscrete,
     inverses_by_search,
     inversion_continuous_by_replay,
+    inversion_proof_replays,
     min_nbhd_mask,
     open_class_seeds,
     scattered_height_by_replay,
+    topologies,
     u2_at_point_by_replay,
+    u2_by_one_pair,
     u_at_point_by_replay,
+    u_witness_by_product,
 )
 from semitop.core import (
     ENUMERATION_BOUND,
@@ -31,6 +36,7 @@ from semitop.core import (
     NotInverse,
     enumerate_congruences,
     inverse_structure,
+    is_semilattice,
 )
 from semitop.errors import DomainError, KindError, LoadError, SizeError
 from semitop.semigroups import (
@@ -39,6 +45,7 @@ from semitop.semigroups import (
     commutative_inverse_monoid_catalog,
     cyclic_group,
     embedding_catalog,
+    symmetric_group,
     symmetric_inverse_monoid,
 )
 from semitop.topo import (
@@ -207,6 +214,43 @@ def test_u_check_rejects_non_semilattice():
         u_check(fixture("Z2_discrete"), 0)
 
 
+@pytest.mark.parametrize("check", [u_check, u2_check], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("x", [-1, 3, True, 1.0], ids=repr)
+def test_u_checks_refuse_a_point_that_is_not_an_element(check, x):
+    # chain3_upper has the points 0, 1 and 2: True and 1.0 equal 1 but are
+    # not ints, and -1 must not count from the end
+    with pytest.raises(DomainError, match=re.escape(f"point {x!r} ")):
+        check(fixture("chain3_upper"), x)
+
+
+def test_u_and_u2_are_their_closed_forms_on_the_catalog_semilattices():
+    """Every semilattice of both catalogs under drawn continuous topologies,
+    and the bundled ones.  At each point U holds with the witness (product
+    of N_x, N_x), and U2 is decided by the one pair (that product, union of
+    the clopen ideals avoiding x); both verdicts match the definitions."""
+    rng = random.Random(20)
+    spaces = [ts for _, ts in bundled_top_semilattices()]
+    for _, s in embedding_catalog() + commutative_inverse_monoid_catalog():
+        if not is_semilattice(s):
+            continue
+        for _ in range(40):
+            top = TopSpec.generated(s.n, [rng.getrandbits(s.n) for _ in range(rng.randint(1, 3))])
+            if continuity_check(s, top)[0]:
+                spaces.append(TopSemigroup(s, top))
+    points = fails = 0
+    for ts in spaces:
+        t, opens = ts.sem.table, ts.top.opens
+        for x in range(ts.sem.n):
+            assert u_check(ts, x) == (True, u_witness_by_product(t, opens, x))
+            assert u_at_point_by_replay(t, opens, x)
+            got = u2_check(ts, x)
+            assert got == u2_by_one_pair(t, opens, x)
+            assert got[0] == u2_at_point_by_replay(t, opens, x)
+            points += 1
+            fails += not got[0]
+    assert (points, fails) == (682, 131)
+
+
 def test_ditop_checks_against_replay():
     for name, ts in bundled_top_semigroups():
         inv = inverse_structure(ts.sem)
@@ -249,8 +293,8 @@ def test_ditop_checks_match_replay_on_drawn_topologies():
             for weak, rep in ((False, ditopological_check(ts)),
                               (True, weakly_ditopological_check(ts))):
                 assert rep.ok == ditop_by_replay(t, inv, top.opens, weak=weak), (name, weak)
-                assert rep.inversion_ok == inv_ok, name
-                assert rep.ok == (inv_ok and rep.failure is None), name
+                assert inv_ok, name
+                assert rep.ok == (rep.failure is None), name
                 verdicts.add((name, weak, rep.ok))
                 if rep.failure is None:
                     continue
@@ -310,18 +354,75 @@ def inversion_breaks_in_some_topology(table, inv):
                                  symmetric_inverse_monoid(2)[0], symmetric_inverse_monoid(3)[0]],
                          ids=lambda sem: sem.name)
 def test_inversion_is_continuous_in_every_topology_with_continuous_multiplication(sem):
-    """Evidence for README's open question on non-Clifford inverse
-    semigroups (in a Clifford one x^-1 is a power of x, so the answer is
-    immediate): here no topology at all separates the two continuities."""
+    """A check of README's proof that inversion is continuous in every finite
+    topological inverse semigroup, independent of it: here no topology at
+    all separates the two continuities."""
     t = sem.table
     inv = [y for x in range(sem.n) for (y,) in [inverses_by_search(t, x)]]
     assert inversion_breaks_in_some_topology(t, inv) == []
+
+
+@pytest.mark.parametrize("sem", [brandt_semigroup(2), brandt_semigroup(3), brandt_semigroup(4),
+                                 symmetric_inverse_monoid(2)[0], symmetric_inverse_monoid(3)[0]],
+                         ids=lambda sem: sem.name)
+def test_the_proof_that_inversion_is_continuous_replays(sem):
+    """README's four steps, as one-step rewrites s*a*t -> s*c*t from a^-1 to
+    c^-1, for every pair (a, c), from the table alone."""
+    t = sem.table
+    inv = [y for x in range(sem.n) for (y,) in [inverses_by_search(t, x)]]
+    assert inversion_proof_replays(t, inv) > 0
+
+
+def test_the_inversion_proof_replay_refuses_a_map_that_is_not_inversion():
+    # on the two-element chain the swap sends 0 -> 1 to 1 -> 0, which no
+    # rewrite of 0 into 1 can give
+    with pytest.raises(AssertionError):
+        inversion_proof_replays(chain_semilattice(2).table, (1, 0))
 
 
 def test_a_map_that_is_not_inversion_breaks_in_some_topology():
     # the swap on the two-element chain: Pr(1, 0) is Sierpinski space
     assert inversion_breaks_in_some_topology(chain_semilattice(2).table, (1, 0)) == [
         (0, 1), (1, 0)]
+
+
+def coset_topologies(table):
+    """One topology per normal subgroup H of a group table: the unions of the
+    cosets of H.  Every subset is tried as H, from the table alone."""
+    n = len(table)
+    e = next(x for x in range(n) if all(table[x][y] == y for y in range(n)))
+    out = []
+    for h in range(1, 1 << n):
+        members = bits(h)
+        if not (h >> e) & 1 or any(not (h >> table[x][y]) & 1 for x in members for y in members):
+            continue
+        right = {sum(1 << table[y][x] for y in members) for x in range(n)}
+        if right != {sum(1 << table[x][y] for y in members) for x in range(n)}:
+            continue
+        opens = {0}
+        for coset in right:
+            opens |= {o | coset for o in opens}
+        out.append(frozenset(opens))
+    return out
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                                   symmetric_group(3)], ids=lambda g: g.name)
+def test_cong_basis_passes_on_every_finite_topological_group(group):
+    """README's (d): N_e is a normal subgroup and N_x its coset, so the
+    continuous topologies are the coset partitions, and the congruence of
+    cosets keeps each [x] inside N_x.  On Z2-Z4 the list is checked against
+    every topology whose multiplication is continuous."""
+    n, t = group.n, group.table
+    listed = coset_topologies(t)
+    if n <= 4:
+        continuous = [o for o in topologies(n) if first_discontinuity_by_four_loops(
+            t, range(n), [min_nbhd_mask(o, n, x) for x in range(n)])[0]]
+        assert sorted(map(sorted, listed)) == sorted(map(sorted, continuous))
+    assert len(listed) == {"Z2": 2, "Z3": 2, "Z4": 3, "S3": 3}[group.name]
+    for opens in listed:
+        assert congruence_basis_check(TopSemigroup(group, TopSpec(n, opens))).ok
+        assert basis_by_candidate_filter(t, opens)
 
 
 def assert_open_candidates_escape(rep, s, nb):
