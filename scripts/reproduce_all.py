@@ -16,7 +16,7 @@ from pathlib import Path
 # run from a checkout without installing: the package lives in ../src
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from semitop.cli import _emit_json, main
+from semitop.cli import _dumps, _emit_json, main
 from semitop.core import semigroup_doc
 from semitop.semigroups import cyclic_group, embedding_catalog, symmetric_inverse_monoid
 from semitop.topo import bundled_top_semigroups, top_spec_doc
@@ -32,7 +32,7 @@ def run(argv, expect):
 
 
 def write_json(path: Path, doc) -> Path:
-    _emit_json(doc, path)
+    _emit_json((_dumps(doc),), path)
     return path
 
 

@@ -14,11 +14,11 @@ re-indents it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
 import sys
-from pathlib import Path
 
 from .core import (
     RIGHT,
@@ -78,24 +78,54 @@ EMBED_KINDS = ("cayley", "wp", "product", "adjoin", "embcl",
                "clifford-product", "group-restrict")
 
 
-def _emit_json(doc, out=None):
-    """The one JSON writer: sorted keys on one compact line, which CPython
-    encodes in C; ``python -m json.tool`` indents it for reading.  Every
-    document is a fresh tree built from frozen dataclasses, so no container
-    can hold itself and the encoder's cycle check is skipped."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      check_circular=False) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _dumps(doc) -> str:
+    """The JSON settings of every document: sorted keys on one compact line,
+    which CPython encodes in C.  Every document is a fresh tree built from
+    frozen dataclasses, so no container can hold itself and the encoder's
+    cycle check is skipped."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _emit(args, doc, lines):
-    """The one output rule: the JSON document goes to --out when given, else
-    to stdout under --json; the human lines are printed unless --json."""
-    if args.out or args.json:
-        _emit_json(doc, args.out)
+def _emit_json(pieces, out=None):
+    """The one JSON writer: the text pieces of one document, then a newline,
+    to the file out or else to stdout.  The pieces are written as they come
+    and never joined, so a document made of many pieces is never held whole;
+    an ordinary document is the one piece (_dumps(doc),).  Whatever the
+    pieces, the bytes are _dumps of the whole document plus a newline, which
+    ``python -m json.tool`` indents for reading."""
+    with open(out, "w") if out is not None else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
+
+
+def _certificate_pieces(cert, n):
+    """The text of certificate_doc(cert), an obstruction certificate on a
+    carrier of n elements, one branch at a time.
+
+    A chain step is written from a table of the n index strings, which is
+    what json.dumps would write for each index, and every other field goes
+    through _dumps.  The fields come from certificate_doc itself, so the
+    bytes are _dumps(certificate_doc(cert)) as long as 'branches' sorts
+    first among the document's keys and 'chain' first among a branch's."""
+    doc = certificate_doc(cert)
+    branches = doc.pop("branches")
+    s = [str(x) for x in range(n)]
+    yield '{"branches":['
+    for k, br in enumerate(branches):
+        chain = br.pop("chain")
+        yield '{"chain":[' if k == 0 else ',{"chain":['
+        yield ",".join([f"[[{s[a]},{s[b]}],{s[m]},[{s[x]},{s[y]}]]"
+                        for (a, b), m, (x, y) in chain])
+        yield "]," + _dumps(br)[1:]
+    yield "]," + _dumps(doc)[1:]
+
+
+def _emit(args, pieces, lines):
+    """The one output rule: the JSON document, as the text pieces
+    _emit_json takes, goes to --out when given, else to stdout under --json;
+    the human lines are printed unless --json."""
+    if args.out is not None or args.json:
+        _emit_json(pieces, args.out)
     if not args.json:
         for line in lines:
             print(line)
@@ -127,8 +157,16 @@ def cmd_catalog(args) -> int:
                      f"{len(fam)} admissible neighborhood{'s' if len(fam) != 1 else ''}")
         for tgt in inst.targets:
             lines.append(f"      target: {tgt.description}")
-    _emit(args, [instance_doc(inst) for inst in instances], lines)
+    _emit(args, _catalog_pieces(instances), lines)
     return 0
+
+
+def _catalog_pieces(instances):
+    """The catalog's JSON list, one instance document at a time, so each is
+    freed once it is written."""
+    for k, inst in enumerate(instances):
+        yield ("," if k else "[") + _dumps(instance_doc(inst))
+    yield "]"
 
 
 # -- obstruct ------------------------------------------------------------------
@@ -153,29 +191,30 @@ def _transcript(inst, cert) -> list[str]:
 
 
 def cmd_obstruct(args) -> int:
-    if args.replay and (args.out or args.json):
+    if args.replay is not None and (args.out is not None or args.json):
         raise DomainError("--replay prints a verdict line only; it takes neither --out nor --json")
     inst = get_instance(args.instance, window=args.window)
-    if args.replay:
+    if args.replay is not None:
         cert = certificate_from_doc(_load_json(args.replay))
         if isinstance(cert, NoObstruction):
-            _emit(args, None, ["replay target is a NoObstruction report; nothing to verify"])
+            _emit(args, (), ["replay target is a NoObstruction report; nothing to verify"])
             return 1
         ok, why = verify_certificate(inst, cert)
-        _emit(args, None, [f"certificate for {inst.instance_id} verified" if ok
-                           else f"certificate rejected: {why}"])
+        _emit(args, (), [f"certificate for {inst.instance_id} verified" if ok
+                         else f"certificate rejected: {why}"])
         return 0 if ok else 1
     result = escape_certificate(inst)
     if isinstance(result, NoObstruction):
         sem = inst.presentation.base
-        _emit(args, certificate_doc(result), [
+        _emit(args, (_dumps(certificate_doc(result)),), [
             f"instance {inst.instance_id} window {result.window}: no obstruction; "
             f"neighborhood {_labels(sem, result.surviving)} survives forcing"])
         return 2
     ok, why = verify_certificate(inst, result)
     if not ok:
         raise TheoremViolationError(f"generated certificate failed replay: {why}")
-    _emit(args, certificate_doc(result), _transcript(inst, result))
+    _emit(args, _certificate_pieces(result, inst.presentation.base.n),
+          _transcript(inst, result))
     return 0
 
 
@@ -287,7 +326,7 @@ def cmd_check(args) -> int:
                                  f"= ({sem.label(da)}, {sem.label(db)})")
 
     report["verdict"] = ok
-    _emit(args, report, [f"{kind}: {'PASS' if ok else 'FAIL'}"] + ["  " + line for line in lines])
+    _emit(args, (_dumps(report),), [f"{kind}: {'PASS' if ok else 'FAIL'}"] + ["  " + line for line in lines])
     return 0 if ok else 2
 
 
@@ -363,7 +402,7 @@ def cmd_embed(args) -> int:
         out.update(summary if key is None else {key: summary})
 
     status = "FAIL" if failed else "OK"
-    _emit(args, out, [f"embed {kind}: {status}"] + ["  " + line for line in lines])
+    _emit(args, (_dumps(out),), [f"embed {kind}: {status}"] + ["  " + line for line in lines])
     return 1 if failed else 0
 
 
@@ -424,7 +463,7 @@ def main(argv=None) -> int:
     the caller back the collector as it was, even when the command raises.
 
     A command builds only acyclic data: frozen dataclasses, tuples, lists
-    of ints and JSON trees (_emit_json skips the encoder's cycle check for
+    of ints and JSON trees (_dumps skips the encoder's cycle check for
     the same reason), so reference counting frees all of it, and the
     collector would only rescan the many small containers of a certificate
     while they live.  The few cycles a failed command leaves, such as an

@@ -25,7 +25,15 @@ from semitop.semigroups import (
     trivial_monoid,
 )
 from semitop.transforms import PairBlock
-from semitop.obstruct import certificate_doc, escape_certificate, get_instance
+from semitop.obstruct import (
+    ForcingBranch,
+    ObstructionCertificate,
+    catalog,
+    certificate_doc,
+    escape_certificate,
+    get_instance,
+    instance_doc,
+)
 from semitop.topo import TopSpec, bundled_top_semigroups, presentation_doc, top_spec_doc
 
 
@@ -50,7 +58,9 @@ def test_catalog_table_and_json(capsys):
     text = capsys.readouterr().out
     assert "exB" in text and "luke" in text and "window 6" in text
     assert main(["catalog", "--json", "-w", "4"]) == 0
-    docs = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    assert text == reference_bytes([instance_doc(inst) for inst in catalog(4)])
+    docs = json.loads(text)
     assert [d["instance"] for d in docs] == [
         "exB", "odd_chain", "right_simple_zero:Z2", "brandt", "luke"]
     assert all(d["schema"] == 1 for d in docs)
@@ -136,7 +146,7 @@ def test_replay_lines_and_the_self_check_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("flag", [["--out", "again.json"], ["--json"]])
+@pytest.mark.parametrize("flag", [["--out", "again.json"], ["--json"], ["--out", ""]])
 def test_replay_refuses_out_and_json(tmp_path, capsys, flag):
     """--replay prints a verdict only, so a flag asking for a document is
     refused with one error line rather than silently dropped."""
@@ -787,6 +797,30 @@ def test_one_output_rule(tmp_path, capsys, command, flags):
 
 
 @pytest.mark.parametrize("command", ["catalog", "obstruct", "check", "embed"])
+def test_an_empty_out_path_is_opened_and_fails(tmp_path, capsys, command):
+    """--out "" names a file like any other path: opening it fails with one
+    error line, rather than the document being dropped."""
+    argv, _ = _output_rule_case(command, tmp_path)
+    assert main(argv + ["--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["replay", "replay-out"])
+def test_an_empty_replay_path_is_still_a_replay(tmp_path, capsys, out):
+    """--replay "" replays the file "", which cannot be opened, and still
+    refuses --out, rather than certifying as if --replay were absent."""
+    written = tmp_path / "cert.json"
+    argv = ["obstruct", "exB", "-w", "4", "--replay", ""] + (["--out", str(written)] if out else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --replay" if out else "error: ")
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("command", ["catalog", "obstruct", "check", "embed"])
 def test_successive_calls_share_no_parser_state(tmp_path, capsys, command):
     # the parser is built once per process: --json and --out on one call
     # must not carry over to the next call without them
@@ -818,6 +852,62 @@ def test_certificate_is_written_as_one_compact_line(tmp_path, capsys, flag):
     doc = certificate_doc(escape_certificate(get_instance("brandt", 5)))
     assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert text.count("\n") == 1
+
+
+def reference_bytes(doc):
+    """What the JSON writer must produce for doc, by its definition."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+WRITER_CASES = [(family + suffix, window)
+                for family in ("exB", "odd_chain", "right_simple_zero:Z2", "brandt", "luke")
+                for suffix in ("", "-discrete") for window in range(4, 17)]
+
+
+@pytest.mark.parametrize("iid, window", WRITER_CASES + [("brandt", 24), ("luke", 24)])
+def test_written_certificate_equals_the_reference(tmp_path, capsys, iid, window):
+    """The certificate written branch by branch, and the NoObstruction
+    report of the discrete twin, are byte for byte the json.dumps of
+    certificate_doc, through --out and through --json on stdout."""
+    code = 2 if iid.endswith("-discrete") else 0
+    want = reference_bytes(certificate_doc(escape_certificate(get_instance(iid, window))))
+    out = tmp_path / "cert.json"
+    argv = ["obstruct", iid, "-w", str(window)]
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_text() == want
+    capsys.readouterr()
+    assert main(argv + ["--json"]) == code
+    assert capsys.readouterr().out == want
+
+
+def test_certificate_fields_keep_the_order_the_writer_relies_on():
+    """The writer puts 'branches' first in the document and 'chain' first in
+    each branch, where sort_keys puts them."""
+    doc = certificate_doc(escape_certificate(get_instance("brandt", 4)))
+    assert min(doc) == "branches"
+    assert all(min(br) == "chain" for br in doc["branches"])
+
+
+@pytest.mark.parametrize("chains", [
+    [()],
+    [(((0, 2), 1, (0, 1)),)],
+    [(), (((0, 2), 1, (0, 1)), ((1, 2), 0, (2, 2))), ()],
+], ids=["empty-chain", "one-step", "mixed"])
+def test_certificate_writer_on_hand_built_chains(tmp_path, capsys, chains):
+    """Chains of no step and of one step, on a 3-element carrier; the writer
+    checks nothing, so the other fields need not fit."""
+    cert = ObstructionCertificate(
+        instance_id="hand", window=4, guard=1, limit=0,
+        branches=tuple(ForcingBranch(neighborhood=0b101, chain=chain, classes=(0, 0, 2),
+                                     target_index=k, witness=2)
+                       for k, chain in enumerate(chains)))
+    want = reference_bytes(certificate_doc(cert))
+    out = tmp_path / "cert.json"
+    cli._emit_json(cli._certificate_pieces(cert, 3), out)
+    assert out.read_text() == want
+    capsys.readouterr()
+    cli._emit_json(cli._certificate_pieces(cert, 3))
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("argv", [
