@@ -18,7 +18,6 @@ from .errors import (
     LoadError,
     MalformedTableError,
     SizeError,
-    TheoremViolationError,
 )
 
 RIGHT = "right"
@@ -350,8 +349,8 @@ class FinSemigroup:
             raise MalformedTableError(f"{len(self.names)} labels for {n} elements")
         e = self.identity
         if e is not None:
-            if not 0 <= e < n:
-                raise MalformedTableError(f"identity {e} out of range")
+            if type(e) is not int or not 0 <= e < n:
+                raise MalformedTableError(f"identity {e!r} out of range 0..{n - 1}")
             for x in range(n):
                 if self.table[e][x] != x or self.table[x][e] != x:
                     raise MalformedTableError(f"declared identity {e} is not neutral at {x}")
@@ -458,13 +457,19 @@ def clifford_check(inv: InverseStructure) -> tuple[bool, int | None]:
     return x is None, x
 
 
+def _point(x, n):
+    """x if it indexes an n-element carrier (no bool, float or negative)."""
+    if type(x) is not int or not 0 <= x < n:
+        raise DomainError(f"point {x!r} is not an element of the carrier")
+    return x
+
+
 def natural_order(s: FinSemigroup, e: int, f: int) -> bool:
     """e <= f in the natural partial order on idempotents: e*f == e."""
     t = s.table
-    if t[e][e] != e:
-        raise DomainError(f"{e} is not idempotent")
-    if t[f][f] != f:
-        raise DomainError(f"{f} is not idempotent")
+    for x in (e, f):
+        if t[_point(x, s.n)][x] != x:
+            raise DomainError(f"{x} is not idempotent")
     return t[e][f] == e
 
 
@@ -486,14 +491,11 @@ def _group_unit(rows, members):
 
 
 def maximal_subgroup(inv: InverseStructure, e: int) -> tuple[int, ...]:
-    """H_e = all x with x*x^-1 == e == x^-1*x, verified to be a group with identity e."""
-    t = inv.base.table
-    if t[e][e] != e:
+    """H_e = all x with x*x^-1 == e == x^-1*x, a group with identity e in
+    every inverse semigroup (README, Scope (g))."""
+    if inv.base.table[_point(e, inv.n)][e] != e:
         raise DomainError(f"{e} is not idempotent")
-    h = tuple(x for x in range(inv.n) if inv.dom[x] == e == inv.ran[x])
-    if _group_unit(t, h) != e:
-        raise TheoremViolationError(f"H_{e} is not a group with identity {e}")
-    return h
+    return tuple(x for x in range(inv.n) if inv.dom[x] == e == inv.ran[x])
 
 
 def adjoin_zero(s: FinSemigroup) -> FinSemigroup:
@@ -898,8 +900,9 @@ def classify_vp_quotient(inv: InverseStructure, rho: Congruence) -> VPClassifica
 
     Preconditions: M commutative inverse monoid, rho a Vagner-Preston right
     congruence.  On a commutative semigroup every right congruence is two
-    sided, so the quotient is well defined.  Any other outcome raises
-    TheoremViolationError.
+    sided, so the quotient is well defined.  Each of its classes is a unit or
+    its zero (README, Scope (h)), so it is a group with zero when it has a
+    zero and more than one element, and a group otherwise.
     """
     m = inv.base
     if not is_commutative(m):
@@ -907,20 +910,14 @@ def classify_vp_quotient(inv: InverseStructure, rho: Congruence) -> VPClassifica
     if not is_vagner_preston(inv, rho):
         raise DomainError("congruence is not Vagner-Preston")
     q = quotient(m, Congruence(m, TWO_SIDED, rho.classes))[0]
-    z = _zero(q.table)
-    if z is not None and q.n > 1:
-        if _group_unit(q.table, (x for x in range(q.n) if x != z)) is not None:
-            return VPClassification("group-with-zero", q)
-        raise TheoremViolationError("quotient has a zero but the rest is not a group")
-    if _group_unit(q.table, range(q.n)) is not None:
-        return VPClassification("group", q)
-    raise TheoremViolationError("quotient is neither a group nor a group with zero")
+    with_zero = q.n > 1 and _zero(q.table) is not None
+    return VPClassification("group-with-zero" if with_zero else "group", q)
 
 
 def subsemigroup(s: FinSemigroup, subset):
     """Relabelled table on a product-closed subset; returns (semigroup, the
     element list in table order)."""
-    subset = sorted(subset)
+    subset = sorted(_point(x, s.n) for x in subset)
     pos = {x: i for i, x in enumerate(subset)}
     for a in subset:
         for b in subset:

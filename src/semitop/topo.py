@@ -14,12 +14,12 @@ from operator import or_
 
 from .core import (
     RIGHT,
-    Congruence,
     FinSemigroup,
     InverseStructure,
     _close,
     _derivation,
     _index,
+    _point,
     _require_inverse,
     adjoin_zero,
     is_semilattice,
@@ -330,9 +330,7 @@ def _least_near(ts: TopSemigroup, x, prop) -> tuple[int, int]:
     least element: N_x lies in the upper cone of y, and of no higher point."""
     if not is_semilattice(ts.sem):
         raise DomainError(f"{prop} property is defined for semilattices")
-    if type(x) is not int or not 0 <= x < ts.sem.n:
-        raise DomainError(f"point {x!r} is not an element of the carrier")
-    nx = ts.top.nbhds[x]
+    nx = ts.top.nbhds[_point(x, ts.sem.n)]
     return nx, reduce(ts.sem.mul, points_of(nx))
 
 
@@ -471,7 +469,7 @@ def presentation_continuity_check(pres: TruncatedPresentation) -> tuple[bool, tu
 @dataclass(frozen=True)
 class BasisReport:
     ok: bool
-    mu: Congruence
+    classes: tuple[int, ...]  # mu's canonical class vector
     failures: tuple  # (x, witness element in [x] outside N_x, N_x mask)
     # on failure, the _close steps ((a, b), m, (a*m, b*m)) that join the
     # first failure's x and witness, starting from the open-class seeds
@@ -495,7 +493,8 @@ def congruence_basis_check(obj) -> BasisReport:
     congruence contains all pairs (y, z) with z in N_y.  Those congruences
     are closed under intersection, so the closure mu of the seed pairs is
     the least of them, and the basis property holds iff [x]_mu stays inside
-    N_x for every x.  On failure the report keeps the derivation of the
+    N_x for every x.  The report keeps mu's classes as _close builds them,
+    right stable by construction.  On failure it keeps the derivation of the
     first failure (x, z): the steps (a, b) -> (a*m, b*m) that join x and z
     from the seeds.  Each step holds in every right congruence containing
     (a, b), so the derivation shows at once that every all-open-class right
@@ -508,15 +507,16 @@ def congruence_basis_check(obj) -> BasisReport:
             if z != y:
                 seeds.append((y, z))
     classes, chain = _close(s, seeds, RIGHT)
-    mu = Congruence(s, RIGHT, classes)
-    masks = [mask_of(block) for block in mu.blocks()]
+    masks = [0] * s.n  # class id -> its members
+    for x, c in enumerate(classes):
+        masks[c] |= 1 << x
     failures = []
     for x in range(s.n):
-        escaped = masks[mu.classes[x]] & ~nb[x]
+        escaped = masks[classes[x]] & ~nb[x]
         if escaped:
             failures.append((x, points_of(escaped)[0], nb[x]))
     derivation = _derivation(s.n, seeds, chain, *failures[0][:2]) if failures else None
-    return BasisReport(not failures, mu, tuple(failures), derivation)
+    return BasisReport(not failures, classes, tuple(failures), derivation)
 
 
 def presentation_doc(pres: TruncatedPresentation) -> dict:

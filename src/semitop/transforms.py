@@ -59,9 +59,6 @@ class PartialPerm:
     def __call__(self, x):
         return self.map[x]
 
-    def im(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.map if v is not None))
-
     def graph(self) -> tuple[tuple[int, int], ...]:
         return tuple((x, v) for x, v in enumerate(self.map) if v is not None)
 

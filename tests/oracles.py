@@ -649,6 +649,94 @@ def longest_chain_by_search(table):
     return best
 
 
+# -- README's Scope proofs (e)-(h), replayed from the tables -------------------
+
+
+def cyclic_subgroups(n):
+    """Every cyclic subgroup of the full transformation monoid T_n, once:
+    for each self-map t of [0, n), the powers of t from the first one that
+    recurs, as window maps.  Their neutral element is the idempotent power
+    of t, a proper retraction unless t permutes [0, n)."""
+    found = {}
+    for t in itertools.product(range(n), repeat=n):
+        powers = [t]
+        while (nxt := tuple(t[v] for v in powers[-1])) not in powers:
+            powers.append(nxt)
+        cycle = powers[powers.index(nxt):]
+        found.setdefault(frozenset(cycle), cycle)
+    return [[Transformation(n, m) for m in cycle] for cycle in found.values()]
+
+
+def wp_images_are_converse(table, inv):
+    """(f) on the Wagner-Preston action: the image of a is x -> x*a on the x
+    with x*(a*a^-1) = x, and the graph of the image of a^-1 is the graph of
+    the image of a reversed, for every a.  Returns each image's values on
+    [0, n), a hole None."""
+    n = len(table)
+
+    def graph(a):
+        e = table[a][inv[a]]
+        return {x: table[x][a] for x in range(n) if table[x][e] == x}
+
+    for a in range(n):
+        assert {(v, x) for x, v in graph(a).items()} == set(graph(inv[a]).items()), a
+    return [tuple(map(graph(a).get, range(n))) for a in range(n)]
+
+
+def maximal_subgroups_by_definition(table, inv):
+    """(g), first part, in any inverse semigroup: H_e, the x with
+    x*x^-1 = e = x^-1*x, is closed, has e as its identity, and holds an
+    inverse of each member.  Returns H_e for each idempotent e, ascending."""
+    n = len(table)
+    groups = {}
+    for e in (e for e in range(n) if table[e][e] == e):
+        h = [x for x in range(n) if table[x][inv[x]] == e == table[inv[x]][x]]
+        assert all(table[x][y] in h for x in h for y in h), e
+        assert all(table[e][x] == x == table[x][e] for x in h), e
+        assert all(any(table[x][y] == e == table[y][x] for y in h) for x in h), e
+        groups[e] = tuple(h)
+    return groups
+
+
+def clifford_facts_replay(table, inv):
+    """(g) in a Clifford semigroup, x*x^-1 = x^-1*x for every x: idempotents
+    are central; x*y = (x*ef)*(y*ef) for x over e and y over f; and s*e lies
+    in H_e whenever e <= s*s^-1.  Returns the H_e as
+    maximal_subgroups_by_definition does."""
+    n = len(table)
+    over = [table[x][inv[x]] for x in range(n)]
+    assert over == [table[inv[x]][x] for x in range(n)], "not a Clifford semigroup"
+    groups = maximal_subgroups_by_definition(table, inv)
+    for e in groups:
+        assert all(table[e][x] == table[x][e] for x in range(n)), e
+    for x, y in itertools.product(range(n), repeat=2):
+        ef = table[over[x]][over[y]]
+        assert table[x][y] == table[table[x][ef]][table[y][ef]], (x, y)
+    for s in range(n):
+        for e, h in groups.items():
+            if table[e][over[s]] == e:
+                assert table[s][e] in h, (s, e)
+    return groups
+
+
+def vp_classes_are_units_or_zero(table, identity, vec):
+    """(h) on a right congruence vec of a commutative monoid that passes
+    vp_by_replay: each class of the quotient is a unit (some class times it
+    is the class of the identity) or the zero (it absorbs every element).
+    Returns whether the quotient has a zero and more than one class."""
+    n = len(table)
+    first = {}  # class -> its least member
+    for x in range(n):
+        first.setdefault(vec[x], x)
+    zero = False
+    for c, a in first.items():
+        unit = any(vec[table[a][b]] == vec[identity] for b in first.values())
+        absorbs = all(vec[table[a][b]] == c for b in range(n))
+        assert unit or absorbs, (vec, c)
+        zero = zero or absorbs
+    return zero and len(first) > 1
+
+
 # -- constructors and readers the tests share ----------------------------------
 # Unlike the references above, the constructors build library values, so the
 # library checks each map they return.

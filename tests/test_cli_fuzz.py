@@ -8,9 +8,10 @@ bool, null, a string, a float, 2**70, a list or a dict; a key or an item
 deleted; or an item duplicated.  Each runs in process through `main`.
 
 The contract: no exception leaves `main`, the exit code is 0, 1 or 2, and an
-exit 1 writes nothing on stdout and one `error:` line on stderr.  On valid
-input `preserves_inversion` and the group-restriction laws are theorems, so
-an `embed` FAIL (exit 1 with a report) breaks the contract too.
+exit 1 writes nothing on stdout and one `error:` line on stderr.  `embed`
+exits 0 with its report or 1 with that one line, never 2: its side verdicts
+are theorems (README, Scope (e)-(g)), and a representation that fails its
+check is refused with an error.
 """
 
 import copy
@@ -103,7 +104,7 @@ def test_mutated_check_and_embed_inputs_keep_the_exit_contract(tmp_path, capsys)
             breaks.append((argv[:2], doc, repr(exc)))
             continue
         out, err = capsys.readouterr()
-        if code not in (0, 1, 2):
+        if code not in ((0, 1) if command == "embed" else (0, 1, 2)):
             breaks.append((argv[:2], doc, f"exit {code}"))
         elif code == 1 and (out or not err.startswith("error: ") or err.count("\n") != 1):
             breaks.append((argv[:2], doc, out + err))

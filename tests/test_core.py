@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from functools import partial
 
 import pytest
@@ -218,6 +219,30 @@ def test_maximal_subgroups():
     exb = inverse_structure(signed_antichain_with_zero(4))
     e = 0  # the plus version of the first letter is idempotent
     assert maximal_subgroup(exb, 0) == (0, 1)
+
+
+@pytest.mark.parametrize("e", [False, True, 1.0, -1, 2], ids=repr)
+def test_a_declared_identity_must_be_an_element_index(e):
+    # False and True equal 0 and 1 but are no index, and -1 must not count
+    # from the end; each would leave a semigroup that semigroup_doc writes
+    # and parse_semigroup refuses
+    with pytest.raises(MalformedTableError, match=re.escape(f"identity {e!r} out of range 0..1")):
+        FinSemigroup(cyclic_group(2).table, identity=e)
+
+
+@pytest.mark.parametrize("x", [-1, 7, True, 1.0], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda i2, x: natural_order(i2.base, x, 0),
+    lambda i2, x: natural_order(i2.base, 0, x),
+    lambda i2, x: maximal_subgroup(i2, x),
+    lambda i2, x: subsemigroup(i2.base, [0, x]),
+], ids=["natural_order-e", "natural_order-f", "maximal_subgroup", "subsemigroup"])
+def test_a_point_that_is_not_an_element_is_refused(call, x):
+    # I2 has the points 0..6, and 0 (the empty map) is idempotent: True and
+    # 1.0 equal 1 but are no index, and -1 must not alias the last element
+    i2 = inverse_structure(symmetric_inverse_monoid(2)[0])
+    with pytest.raises(DomainError, match=re.escape(f"point {x!r} is not an element of the carrier")):
+        call(i2, x)
 
 
 def test_adjoin_zero_and_identity():

@@ -450,7 +450,7 @@ def test_basis_check_verdicts_on_bundled():
         assert rep.ok == (name not in expected_fail)
         assert rep.ok == basis_by_candidate_filter(ts.sem.table, ts.top.opens)
         for x, z, nbx in rep.failures:
-            assert rep.mu.classes[x] == rep.mu.classes[z] and not (nbx >> z) & 1
+            assert rep.classes[x] == rep.classes[z] and not (nbx >> z) & 1
         nb = [min_nbhd_mask(ts.top.opens, ts.sem.n, x) for x in range(ts.sem.n)]
         if rep.ok:
             assert rep.derivation is None
@@ -462,7 +462,7 @@ def test_basis_check_verdicts_on_bundled():
 def test_basis_check_derivation_report_shape():
     rep = congruence_basis_check(fixture("chain2_upper"))
     assert not rep.ok
-    assert rep.mu.classes == (0, 0)
+    assert rep.classes == (0, 0)
     assert rep.failures == ((1, 0, 0b10),)
     # the seed (c0, c1) of N_c0 = {c0, c1} joins them with no step
     assert rep.derivation == ()
